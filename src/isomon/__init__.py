@@ -11,7 +11,7 @@ from .natmonoid import (Bicyclic, Markers, NatIsometry, bicyclic_mul,
                         from_bicyclic, gen_a, gen_b, gen_e, is_bicyclic,
                         to_bicyclic)
 from .intmonoid import (FullUnitsError, HClassKind, IntIsometry, hclass_group,
-                        restriction_isometries, unit_cover)
+                        restriction_isometries)
 from .homs import (FiniteTailMap, Witness, eps_conjugation, extend_in,
                    hom_translation, hom_z2, refute_finite_generation)
 from .words import (NotInFiltrationError, Token, Word, WordSyntaxError,
@@ -27,7 +27,7 @@ __all__ = [
     "NatIsometry", "Markers", "Bicyclic", "bicyclic_mul", "from_bicyclic",
     "to_bicyclic", "is_bicyclic", "gen_a", "gen_b", "gen_e",
     "IntIsometry", "HClassKind", "FullUnitsError", "hclass_group",
-    "restriction_isometries", "unit_cover",
+    "restriction_isometries",
     "FiniteTailMap", "Witness", "extend_in", "hom_translation", "hom_z2",
     "eps_conjugation", "refute_finite_generation",
     "Word", "Token", "WordSyntaxError", "NotInFiltrationError",

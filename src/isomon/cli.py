@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import harness, intmonoid, natmonoid
@@ -92,9 +93,17 @@ def _cmd_refute_fg(args) -> int:
     return _emit(witness_to_obj(refute_finite_generation(gens)))
 
 
+def _worker_count(jobs: int) -> int:
+    """The ``--jobs`` value, refused below 1 and capped at the CPU count."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _cmd_check(args) -> int:
     names = harness.suite_names() if args.all or not args.suite else args.suite
-    reports = harness.run_selected(names, args.bound, args.shift_bound, args.jobs)
+    jobs = _worker_count(args.jobs)
+    reports = harness.run_selected(names, args.bound, args.shift_bound, jobs)
     if args.format == "json":
         print(json.dumps([r.to_obj() for r in reports], sort_keys=True))
     else:
@@ -168,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the exception bound")
     p.add_argument("--shift-bound", type=int, default=None,
                    help="override the shift bound")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (at most the CPU count)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_check)
 

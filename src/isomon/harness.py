@@ -142,6 +142,7 @@ class _FailLog:
 # window wide enough for every product of up to three universe elements, the
 # shift (and reflection flag) above it.  Composition then becomes a handful
 # of elementwise numpy operations, which makes the full triple scan cheap.
+# ``key_bits`` is the length of the widest key a triple product can have.
 
 
 def _shift_bits(m, k):
@@ -156,11 +157,11 @@ class _NatVec:
     def __init__(self, spec: UniverseSpec):
         self.width = spec.exception_bound + 2 * spec.shift_bound
         self.koff = 3 * spec.shift_bound + 1
-        elems = _universe(spec)
-        self.arrays = (
-            np.array([e.shift for e in elems], dtype=np.int64),
-            np.array([self._mask(e) for e in elems], dtype=np.int64),
-        )
+        self.key_bits = self.width + (2 * self.koff).bit_length()
+
+    def pack(self, elems):
+        return (np.array([e.shift for e in elems], dtype=np.int64),
+                np.array([self._mask(e) for e in elems], dtype=np.int64))
 
     @staticmethod
     def _mask(e: NatIsometry) -> int:
@@ -189,26 +190,26 @@ class _NatVec:
 
 
 class _IntVec:
-    MAX_WIDTH = 21
-
     def __init__(self, spec: UniverseSpec):
         self.radius = spec.exception_bound + 2 * spec.shift_bound
         self.width = 2 * self.radius + 1
         self.koff = 3 * spec.shift_bound + 1
-        idx = np.arange(1 << self.width, dtype=np.int64)
-        rev = np.zeros_like(idx)
-        for b in range(self.width):
-            rev |= ((idx >> b) & 1) << (self.width - 1 - b)
-        self.rev = rev
-        elems = _universe(spec)
-        self.arrays = (
-            np.array([e.unit.a for e in elems], dtype=np.int64),
-            np.array([int(e.unit.reflect) for e in elems], dtype=np.int64),
-            np.array([self._mask(e) for e in elems], dtype=np.int64),
-        )
+        self.key_bits = self.width + 1 + (2 * self.koff).bit_length()
+
+    def pack(self, elems):
+        return (np.array([e.unit.a for e in elems], dtype=np.int64),
+                np.array([int(e.unit.reflect) for e in elems], dtype=np.int64),
+                np.array([self._mask(e) for e in elems], dtype=np.int64))
 
     def _mask(self, e: IntIsometry) -> int:
         return sum(1 << (x + self.radius) for x in e.exceptions)
+
+    def _mirror(self, m):
+        # bit b -> bit width-1-b: the window reflected about 0
+        out = np.zeros_like(m)
+        for b in range(self.width):
+            out |= ((m >> b) & 1) << (self.width - 1 - b)
+        return out
 
     def compose(self, t1, t2):
         a1, r1, m1 = t1
@@ -216,7 +217,7 @@ class _IntVec:
         a = np.where(r2 == 1, a2 - a1, a1 + a2)
         r = r1 ^ r2
         pre = np.where(r1 == 1,
-                       _shift_bits(np.take(self.rev, m2), a1),
+                       _shift_bits(self._mirror(m2), a1),
                        _shift_bits(m2, -a1))
         return a, r, m1 | pre
 
@@ -238,125 +239,120 @@ class _IntVec:
         return IntIsometry(ZIsometry(int(a), bool(r)), exc)
 
 
-@lru_cache(maxsize=None)
 def _vec(spec: UniverseSpec):
-    if spec.monoid == "nat":
-        if spec.exception_bound + 2 * spec.shift_bound > 60:
-            return None
-        return _NatVec(spec)
-    if 2 * (spec.exception_bound + 2 * spec.shift_bound) + 1 > _IntVec.MAX_WIDTH:
-        return None
-    return _IntVec(spec)
+    """The packed encoding of a universe, or None if its keys exceed int64."""
+    vec = _NatVec(spec) if spec.monoid == "nat" else _IntVec(spec)
+    return vec if vec.key_bits <= 63 else None
 
 
 # ---------------------------------------------------------------------------
 # Suite chunk functions.  Each scans outer indices [lo, hi) of its instance
-# space and returns (instances, failures, failure_total, counters).
+# space, adds failures to ``log`` and counts to ``counters`` (whose keys the
+# suite declares), and returns the number of instances it checked.
 
 
-def _assoc_chunk(spec, lo, hi):
-    vec = _vec(spec)
-    if vec is None:
-        return _assoc_chunk_slow(spec, lo, hi)
+def _objs(*elems) -> list:
+    return [element_to_obj(e) for e in elems]
+
+
+def _each(check):
+    """Chunk over single elements; ``check(g)`` returns None or failure fields."""
+    def chunk(spec, lo, hi, log, counters):
+        for g in _universe(spec)[lo:hi]:
+            fields = check(g)
+            if fields is not None:
+                log.add({"input": element_to_obj(g), **fields})
+        return hi - lo
+    return chunk
+
+
+def _pairwise(check, left=None, right=None):
+    """Chunk over pairs (x, y) with x in rows [lo, hi); ``left`` and ``right``
+    restrict either factor.  ``check(x, y)`` returns None or failure fields."""
+    def chunk(spec, lo, hi, log, counters):
+        elems = _universe(spec)
+        ys = elems if right is None else [y for y in elems if right(y)]
+        n = 0
+        for x in elems[lo:hi]:
+            if left is not None and not left(x):
+                continue
+            for y in ys:
+                fields = check(x, y)
+                if fields is not None:
+                    log.add({"inputs": _objs(x, y), **fields})
+                n += 1
+        return n
+    return chunk
+
+
+def _assoc_chunk(spec, lo, hi, log, counters):
     elems = _universe(spec)
     n = len(elems)
-    cols = tuple(x[None, :] for x in vec.arrays)
-    rows = tuple(x[:, None] for x in vec.arrays)
+    vec = _vec(spec)
+    if vec is None:
+        # object-level scan, for universes whose packed key is wider than int64
+        inner = [[x * y for y in elems] for x in elems]
+        for i in range(lo, hi):
+            x = elems[i]
+            for j in range(n):
+                p = inner[i][j]
+                for k in range(n):
+                    if p * elems[k] != x * inner[j][k]:
+                        log.add({"inputs": _objs(x, elems[j], elems[k])})
+        return (hi - lo) * n * n
+    arrays = vec.pack(elems)
+    cols = tuple(x[None, :] for x in arrays)
+    rows = tuple(x[:, None] for x in arrays)
     pairwise = vec.compose(rows, cols)
     pair_keys = vec.key(pairwise)
-    log = _FailLog()
-    pair_checks = 0
     for i in range(lo, hi):
         # cross-check the packed composition against the real one on row i
         obj_row = np.fromiter((vec.obj_key(elems[i] * y) for y in elems),
                               dtype=np.int64, count=n)
         for j in np.nonzero(obj_row != pair_keys[i])[0]:
-            log.add({"inputs": [element_to_obj(elems[i]), element_to_obj(elems[j])],
+            log.add({"inputs": _objs(elems[i], elems[j]),
                      "check": "packed product mismatch"})
-        pair_checks += n
-    block = max(1, (1 << 21) // (n * n))
+        counters["pair_checks"] += n
+    block = max(1, (1 << 20) // (n * n))
     for b0 in range(lo, hi, block):
         b1 = min(hi, b0 + block)
         left = vec.key(vec.compose(
             tuple(x[b0:b1, :, None] for x in pairwise),
-            tuple(x[None, None, :] for x in vec.arrays)))
+            tuple(x[None, None, :] for x in arrays)))
         right = vec.key(vec.compose(
-            tuple(x[b0:b1][:, None, None] for x in vec.arrays),
+            tuple(x[b0:b1][:, None, None] for x in arrays),
             tuple(x[None, :, :] for x in pairwise)))
         for i, j, k in np.argwhere(left != right):
-            log.add({"inputs": [element_to_obj(elems[b0 + i]),
-                                element_to_obj(elems[j]), element_to_obj(elems[k])],
+            log.add({"inputs": _objs(elems[b0 + i], elems[j], elems[k]),
                      "left": element_to_obj(vec.decode(int(left[i, j, k]))),
                      "right": element_to_obj(vec.decode(int(right[i, j, k])))})
-    instances = (hi - lo) * n * n
-    return instances, log.items, log.total, {"pair_checks": pair_checks}
+    return (hi - lo) * n * n
 
 
-def _assoc_chunk_slow(spec, lo, hi):
-    # object-level fallback for bounds too wide for the packed encoding
-    elems = _universe(spec)
-    n = len(elems)
-    inner = [[x * y for y in elems] for x in elems]
-    log = _FailLog()
-    for i in range(lo, hi):
-        x = elems[i]
-        row = inner[i]
-        for j in range(n):
-            p = row[j]
-            for k in range(n):
-                if p * elems[k] != x * inner[j][k]:
-                    log.add({"inputs": [element_to_obj(x), element_to_obj(elems[j]),
-                                        element_to_obj(elems[k])]})
-    return (hi - lo) * n * n, log.items, log.total, {"pair_checks": 0}
+def _inverse_check(g):
+    gi = g.inverse()
+    if g * gi * g != g or gi * g * gi != gi:
+        return {"inverse": element_to_obj(gi)}
 
 
-def _inverse_chunk(spec, lo, hi):
-    elems = _universe(spec)
-    log = _FailLog()
-    for i in range(lo, hi):
-        g = elems[i]
-        gi = g.inverse()
-        if g * gi * g != g or gi * g * gi != gi:
-            log.add({"input": element_to_obj(g),
-                     "inverse": element_to_obj(gi)})
-    return hi - lo, log.items, log.total, {}
+def _lemma21_check(x, y):
+    dx, dy = x.deficiency, y.deficiency
+    d = (x * y).deficiency
+    if not max(dx, dy) <= d <= dx + dy:
+        return {"deficiencies": [dx, dy], "got": d}
 
 
-def _lemma21_chunk(spec, lo, hi):
-    elems = _universe(spec)
-    log = _FailLog()
-    n = 0
-    for i in range(lo, hi):
-        x = elems[i]
-        dx = x.deficiency
-        for y in elems:
-            d = (x * y).deficiency
-            if not max(dx, y.deficiency) <= d <= dx + y.deficiency:
-                log.add({"inputs": [element_to_obj(x), element_to_obj(y)],
-                         "deficiencies": [dx, y.deficiency], "got": d})
-            n += 1
-    return n, log.items, log.total, {}
+_INT_IDENTITY = intmonoid.identity()
 
 
-def _prop22_chunk(spec, lo, hi):
-    elems = _universe(spec)
-    ident = intmonoid.identity()
-    log = _FailLog()
-    n = 0
-    for i in range(lo, hi):
-        x = elems[i]
-        for y in elems:
-            if x * y == ident and (x.deficiency or y.deficiency):
-                log.add({"inputs": [element_to_obj(x), element_to_obj(y)]})
-            n += 1
-    return n, log.items, log.total, {}
+def _prop22_check(x, y):
+    if x * y == _INT_IDENTITY and (x.deficiency or y.deficiency):
+        return {}
 
 
-def _lemma29_chunk(spec, lo, hi):
+def _lemma29_chunk(spec, lo, hi, log, counters):
     B = spec.exception_bound
     offsets = list(range(-B, B + 1))
-    log = _FailLog()
-    counters = {"Trivial": 0, "Z2": 0, "FullUnits": 0}
     for mask in range(lo, hi):
         exc = FiniteIntSet(o for b, o in enumerate(offsets) if mask >> b & 1)
         kind = hclass_group(exc)
@@ -382,58 +378,34 @@ def _lemma29_chunk(spec, lo, hi):
                  HClassKind.TRIVIAL: 1}[kind]
         if set(impl) != set(brute) or len(impl) != sized:
             log.add({"exceptions": list(exc),
-                     "impl": [element_to_obj(e) for e in impl],
-                     "brute": [element_to_obj(e) for e in sorted(
-                         brute, key=lambda e: (e.unit.a, e.unit.reflect))],
+                     "impl": _objs(*impl),
+                     "brute": _objs(*sorted(
+                         brute, key=lambda e: (e.unit.a, e.unit.reflect))),
                      "hclass": kind.value})
-    return hi - lo, log.items, log.total, counters
+    return hi - lo
 
 
-def _lemma33_chunk(spec, lo, hi):
+def _lemma33_check(g):
+    m = g.markers()
+    if m.nr_high - m.nr_low != m.nd_high - m.nd_low:
+        return {"markers": list(m)}
+
+
+# Lemmas 3.4 and 3.5: g is the tail-defined factor, chosen by the suite's filter
+def _lemma34_check(g, d):
+    got = (g * d).gap()
+    if got > d.gap():
+        return {"got": got, "bound": d.gap()}
+
+
+def _lemma35_check(d, g):
+    got = (d * g).gap()
+    if got > d.gap():
+        return {"got": got, "bound": d.gap()}
+
+
+def _lemma36_chunk(spec, lo, hi, log, counters):
     elems = _universe(spec)
-    log = _FailLog()
-    for i in range(lo, hi):
-        m = elems[i].markers()
-        if m.nr_high - m.nr_low != m.nd_high - m.nd_low:
-            log.add({"input": element_to_obj(elems[i]), "markers": list(m)})
-    return hi - lo, log.items, log.total, {}
-
-
-def _lemma34_chunk(spec, lo, hi):
-    elems = _universe(spec)
-    log = _FailLog()
-    n = 0
-    for i in range(lo, hi):
-        g = elems[i]
-        if not is_bicyclic(g):
-            continue
-        for d in elems:
-            if (g * d).gap() > d.gap():
-                log.add({"inputs": [element_to_obj(g), element_to_obj(d)],
-                         "got": (g * d).gap(), "bound": d.gap()})
-            n += 1
-    return n, log.items, log.total, {}
-
-
-def _lemma35_chunk(spec, lo, hi):
-    elems = _universe(spec)
-    tail_defined = [g for g in elems if is_bicyclic(g)]
-    log = _FailLog()
-    n = 0
-    for i in range(lo, hi):
-        d = elems[i]
-        for g in tail_defined:
-            if (d * g).gap() > d.gap():
-                log.add({"inputs": [element_to_obj(d), element_to_obj(g)],
-                         "got": (d * g).gap(), "bound": d.gap()})
-            n += 1
-    return n, log.items, log.total, {}
-
-
-def _lemma36_chunk(spec, lo, hi):
-    elems = _universe(spec)
-    log = _FailLog()
-    counters = {"case1": 0, "case2": 0, "case3": 0, "case4": 0}
     n = 0
     for i in range(lo, hi):
         g = elems[i]
@@ -449,21 +421,19 @@ def _lemma36_chunk(spec, lo, hi):
                     continue
                 n += 1
                 if pg > k:
-                    log.add({"inputs": [element_to_obj(g), element_to_obj(d)],
-                             "k": k, "got": pg})
+                    log.add({"inputs": _objs(g, d), "k": k, "got": pg})
                 if proper:
                     low = mg.nr_low <= md.nd_low
                     high = mg.nr_high <= md.nd_high
                     case = {(True, True): "case1", (False, True): "case2",
                             (True, False): "case3", (False, False): "case4"}[(low, high)]
                     counters[case] += 1
-    return n, log.items, log.total, counters
+    return n
 
 
-def _filtration_chunk(spec, lo, hi):
+def _filtration_chunk(spec, lo, hi, log, counters):
     elems = _universe(spec)
     top = spec.exception_bound + spec.shift_bound + 2
-    log = _FailLog()
     for i in range(lo, hi):
         g = elems[i]
         chain = all(not g.in_filtration(k) or g.in_filtration(k + 1)
@@ -471,48 +441,27 @@ def _filtration_chunk(spec, lo, hi):
         base = g.in_filtration(0) == g.in_filtration(1) == is_bicyclic(g)
         if not (chain and base):
             log.add({"input": element_to_obj(g), "gap": g.gap()})
-    return hi - lo, log.items, log.total, {}
+    return hi - lo
 
 
-def _sigma_chunk(spec, lo, hi):
-    elems = _universe(spec)
-    log = _FailLog()
-    n = 0
-    if spec.monoid == "nat":
-        for i in range(lo, hi):
-            x = elems[i]
-            for y in elems:
-                if natmonoid.sigma(x * y) != natmonoid.sigma(x) + natmonoid.sigma(y):
-                    log.add({"inputs": [element_to_obj(x), element_to_obj(y)]})
-                n += 1
+def _sigma_check(x, y):
+    if isinstance(x, NatIsometry):
+        ok = natmonoid.sigma(x * y) == natmonoid.sigma(x) + natmonoid.sigma(y)
     else:
-        for i in range(lo, hi):
-            x = elems[i]
-            for y in elems:
-                if intmonoid.sigma(x * y) != intmonoid.sigma(x) * intmonoid.sigma(y):
-                    log.add({"inputs": [element_to_obj(x), element_to_obj(y)]})
-                n += 1
-    return n, log.items, log.total, {}
+        ok = intmonoid.sigma(x * y) == intmonoid.sigma(x) * intmonoid.sigma(y)
+    return None if ok else {}
 
 
-def _roundtrip_chunk(spec, lo, hi):
+def _roundtrip_check(g):
+    w = decompose(g)
+    if evaluate(w) != g:
+        return {"word": format_word(w), "evaluates_to": element_to_obj(evaluate(w))}
+    if parse(format_word(w)) != w:
+        return {"word": format_word(w), "check": "parse/print round-trip"}
+
+
+def _filtered_chunk(spec, lo, hi, log, counters):
     elems = _universe(spec)
-    log = _FailLog()
-    for i in range(lo, hi):
-        g = elems[i]
-        w = decompose(g)
-        if evaluate(w) != g:
-            log.add({"input": element_to_obj(g), "word": format_word(w),
-                     "evaluates_to": element_to_obj(evaluate(w))})
-        elif parse(format_word(w)) != w:
-            log.add({"input": element_to_obj(g), "word": format_word(w),
-                     "check": "parse/print round-trip"})
-    return hi - lo, log.items, log.total, {}
-
-
-def _filtered_chunk(spec, lo, hi):
-    elems = _universe(spec)
-    log = _FailLog()
     n = 0
     for i in range(lo, hi):
         g = elems[i]
@@ -527,30 +476,28 @@ def _filtered_chunk(spec, lo, hi):
                 log.add({"input": element_to_obj(g), "k": k,
                          "word": format_word(w),
                          "evaluates_to": element_to_obj(evaluate(w))})
-    return n, log.items, log.total, {}
+    return n
 
 
 _CONJUGATION_PAIRS = [(k, l) for k in range(3, 13) for l in range(2, k)]
 
 
-def _conjugation_chunk(spec, lo, hi):
-    log = _FailLog()
+def _conjugation_chunk(spec, lo, hi, log, counters):
     for idx in range(lo, hi):
         k, l = _CONJUGATION_PAIRS[idx]
         got = eps_conjugation(k, l)
         if got != gen_e(l):
             log.add({"k": k, "l": l, "got": element_to_obj(got)})
-    return hi - lo, log.items, log.total, {}
+    return hi - lo
 
 
 _EXTENSION_POINTS = (0, -1, -2)
 
 
-def _extension_chunk(spec, lo, hi):
+def _extension_chunk(spec, lo, hi, log, counters):
     elems = _universe(spec)
     ext = {(j, n): extend_in(g, n)
            for j, g in enumerate(elems) for n in _EXTENSION_POINTS}
-    log = _FailLog()
     n_checked = 0
     if lo == 0:
         n_checked += 1
@@ -568,15 +515,12 @@ def _extension_chunk(spec, lo, hi):
             for n in _EXTENSION_POINTS:
                 n_checked += 1
                 if extend_in(p, n) != ext[(i, n)] * ext[(j, n)]:
-                    log.add({"inputs": [element_to_obj(g), element_to_obj(d)],
-                             "n": n})
-    return n_checked, log.items, log.total, {}
+                    log.add({"inputs": _objs(g, d), "n": n})
+    return n_checked
 
 
-def _cor212_chunk(spec, lo, hi):
+def _cor212_chunk(spec, lo, hi, log, counters):
     elems = _universe(spec)
-    log = _FailLog()
-    counters = {"z2_identities": 0, "z2_reflections": 0}
     n = 0
     if lo == 0:
         n += 1
@@ -590,12 +534,10 @@ def _cor212_chunk(spec, lo, hi):
             p = g * d
             n += 2
             if hom_translation(p) != ht_g * hom_translation(d):
-                log.add({"inputs": [element_to_obj(g), element_to_obj(d)],
-                         "hom": "translation"})
+                log.add({"inputs": _objs(g, d), "hom": "translation"})
             if hom_z2(p) != hz_g * hom_z2(d):
-                log.add({"inputs": [element_to_obj(g), element_to_obj(d)],
-                         "hom": "z2"})
-    return n, log.items, log.total, counters
+                log.add({"inputs": _objs(g, d), "hom": "z2"})
+    return n
 
 
 def _cor212_finalize(spec, counters):
@@ -608,8 +550,7 @@ def _cor212_finalize(spec, counters):
 _BICYCLIC_BOUND = 7  # exponents 0..6
 
 
-def _bicyclic_chunk(spec, lo, hi):
-    log = _FailLog()
+def _bicyclic_chunk(spec, lo, hi, log, counters):
     base = _BICYCLIC_BOUND
     for idx in range(lo, hi):
         rest, n = divmod(idx, base)
@@ -622,16 +563,14 @@ def _bicyclic_chunk(spec, lo, hi):
             log.add({"inputs": [[k, l], [m, n]],
                      "normal_form": element_to_obj(got),
                      "composed": element_to_obj(expect)})
-    return hi - lo, log.items, log.total, {}
+    return hi - lo
 
 
-_REFUTE_GENS = ("a", "b", "e2", "e3")
 _REFUTE_DEPTH = 4
 
 
-def _refute_chunk(spec, lo, hi):
+def _refute_chunk(spec, lo, hi, log, counters):
     gens = [gen_a(), gen_b(), gen_e(2), gen_e(3)]
-    log = _FailLog()
     w = refute_finite_generation(gens)
     expected = NatIsometry(0, FiniteIntSet([2, 3, 4]))
     n = 1
@@ -640,70 +579,68 @@ def _refute_chunk(spec, lo, hi):
             or w.certificate != w.bound_k + 1):
         log.add({"witness": element_to_obj(w.element),
                  "bound_k": w.bound_k, "certificate": w.certificate})
-    products = 0
     for length in range(1, _REFUTE_DEPTH + 1):
         for combo in itertools.product(gens, repeat=length):
             prod = combo[0]
             for g in combo[1:]:
                 prod = prod * g
-            products += 1
+            counters["products_checked"] += 1
             n += 1
             if prod == w.element:
-                log.add({"factors": [element_to_obj(g) for g in combo]})
-    return n, log.items, log.total, {"products_checked": products}
+                log.add({"factors": _objs(*combo)})
+    return n
 
 
 # ---------------------------------------------------------------------------
 # Registry and the runner.
 
 
-@dataclass(frozen=True)
-class _Suite:
-    monoids: tuple[str, ...]
-    defaults: tuple[UniverseSpec, ...]
-    size: Callable[[UniverseSpec], int]
-    chunk: Callable
-    finalize: Callable | None = None
-
-
 def _universe_size(spec):
     return len(_universe(spec))
 
 
-def _subset_count(spec):
-    return 1 << (2 * spec.exception_bound + 1)
+@dataclass(frozen=True)
+class _Suite:
+    defaults: tuple[UniverseSpec, ...]
+    chunk: Callable
+    counters: tuple[str, ...] = ()
+    size: Callable[[UniverseSpec], int] = _universe_size
+    finalize: Callable | None = None
 
+    @property
+    def monoids(self) -> tuple[str, ...]:
+        return tuple(spec.monoid for spec in self.defaults)
+
+
+_NAT = (NAT_DEFAULT,)
+_INT = (INT_DEFAULT,)
+_BOTH = (NAT_DEFAULT, INT_DEFAULT)
 
 SUITES: dict[str, _Suite] = {
-    "assoc": _Suite(("nat", "int"), (NAT_DEFAULT, INT_DEFAULT),
-                    _universe_size, _assoc_chunk),
-    "inverse-axioms": _Suite(("nat", "int"), (NAT_DEFAULT, INT_DEFAULT),
-                             _universe_size, _inverse_chunk),
-    "lemma-2.1": _Suite(("int",), (INT_DEFAULT,), _universe_size, _lemma21_chunk),
-    "prop-2.2": _Suite(("int",), (INT_DEFAULT,), _universe_size, _prop22_chunk),
-    "lemma-2.9-oracle": _Suite(("int",), (UniverseSpec("int", 4, 2),),
-                               _subset_count, _lemma29_chunk),
-    "lemma-3.3": _Suite(("nat",), (NAT_DEFAULT,), _universe_size, _lemma33_chunk),
-    "lemma-3.4": _Suite(("nat",), (NAT_DEFAULT,), _universe_size, _lemma34_chunk),
-    "lemma-3.5": _Suite(("nat",), (NAT_DEFAULT,), _universe_size, _lemma35_chunk),
-    "lemma-3.6": _Suite(("nat",), (NAT_DEFAULT,), _universe_size, _lemma36_chunk),
-    "filtration": _Suite(("nat",), (NAT_DEFAULT,), _universe_size,
-                         _filtration_chunk),
-    "sigma-hom": _Suite(("nat", "int"), (NAT_DEFAULT, INT_DEFAULT),
-                        _universe_size, _sigma_chunk),
-    "decompose-roundtrip": _Suite(("nat",), (NAT_DEFAULT,), _universe_size,
-                                  _roundtrip_chunk),
-    "decompose-filtered": _Suite(("nat",), (NAT_DEFAULT,), _universe_size,
-                                 _filtered_chunk),
-    "remark-3.9": _Suite(("nat",), (NAT_DEFAULT,),
-                         lambda spec: len(_CONJUGATION_PAIRS), _conjugation_chunk),
-    "example-2.13": _Suite(("nat",), (NAT_DEFAULT,), _universe_size,
-                           _extension_chunk),
-    "cor-2.12": _Suite(("nat",), (NAT_DEFAULT,), _universe_size,
-                       _cor212_chunk, _cor212_finalize),
-    "bicyclic-oracle": _Suite(("nat",), (NAT_DEFAULT,),
-                              lambda spec: _BICYCLIC_BOUND ** 4, _bicyclic_chunk),
-    "refute-fg": _Suite(("nat",), (NAT_DEFAULT,), lambda spec: 1, _refute_chunk),
+    "assoc": _Suite(_BOTH, _assoc_chunk, ("pair_checks",)),
+    "inverse-axioms": _Suite(_BOTH, _each(_inverse_check)),
+    "lemma-2.1": _Suite(_INT, _pairwise(_lemma21_check)),
+    "prop-2.2": _Suite(_INT, _pairwise(_prop22_check)),
+    "lemma-2.9-oracle": _Suite((UniverseSpec("int", 4, 2),), _lemma29_chunk,
+                               ("Trivial", "Z2", "FullUnits"),
+                               size=lambda spec: 1 << (2 * spec.exception_bound + 1)),
+    "lemma-3.3": _Suite(_NAT, _each(_lemma33_check)),
+    "lemma-3.4": _Suite(_NAT, _pairwise(_lemma34_check, left=is_bicyclic)),
+    "lemma-3.5": _Suite(_NAT, _pairwise(_lemma35_check, right=is_bicyclic)),
+    "lemma-3.6": _Suite(_NAT, _lemma36_chunk, ("case1", "case2", "case3", "case4")),
+    "filtration": _Suite(_NAT, _filtration_chunk),
+    "sigma-hom": _Suite(_BOTH, _pairwise(_sigma_check)),
+    "decompose-roundtrip": _Suite(_NAT, _each(_roundtrip_check)),
+    "decompose-filtered": _Suite(_NAT, _filtered_chunk),
+    "remark-3.9": _Suite(_NAT, _conjugation_chunk,
+                         size=lambda spec: len(_CONJUGATION_PAIRS)),
+    "example-2.13": _Suite(_NAT, _extension_chunk),
+    "cor-2.12": _Suite(_NAT, _cor212_chunk, ("z2_identities", "z2_reflections"),
+                       finalize=_cor212_finalize),
+    "bicyclic-oracle": _Suite(_NAT, _bicyclic_chunk,
+                              size=lambda spec: _BICYCLIC_BOUND ** 4),
+    "refute-fg": _Suite(_NAT, _refute_chunk, ("products_checked",),
+                        size=lambda spec: 1),
 }
 
 
@@ -719,7 +656,11 @@ def default_specs(name: str) -> tuple[UniverseSpec, ...]:
 
 def _chunk_entry(args):
     name, spec, lo, hi = args
-    return SUITES[name].chunk(spec, lo, hi)
+    suite = SUITES[name]
+    log = _FailLog()
+    counters = dict.fromkeys(suite.counters, 0)
+    instances = suite.chunk(spec, lo, hi, log, counters)
+    return instances, log.items, log.total, counters
 
 
 def run_suite(name: str, spec: UniverseSpec, jobs: int = 1) -> SuiteReport:
@@ -732,24 +673,23 @@ def run_suite(name: str, spec: UniverseSpec, jobs: int = 1) -> SuiteReport:
     start = time.perf_counter()
     total = suite.size(spec)
     parts_count = max(1, min(jobs, total))
-    bounds = [(total * c // parts_count, total * (c + 1) // parts_count)
-              for c in range(parts_count)]
+    tasks = [(name, spec, total * c // parts_count, total * (c + 1) // parts_count)
+             for c in range(parts_count)]
     if parts_count == 1:
-        parts = [suite.chunk(spec, 0, total)]
+        parts = [_chunk_entry(tasks[0])]
     else:
         with multiprocessing.Pool(parts_count) as pool:
-            parts = pool.map(_chunk_entry,
-                             [(name, spec, lo, hi) for lo, hi in bounds])
+            parts = pool.map(_chunk_entry, tasks)
     instances = 0
     failures: list = []
     failure_total = 0
-    counters: dict = {}
+    counters = dict.fromkeys(suite.counters, 0)
     for inst, fails, total_fails, cnts in parts:
         instances += inst
         failures.extend(fails)
         failure_total += total_fails
         for key, val in cnts.items():
-            counters[key] = counters.get(key, 0) + val
+            counters[key] += val
     if suite.finalize is not None:
         extra = suite.finalize(spec, counters)
         failures.extend(extra)

@@ -6,10 +6,10 @@ tail below a chosen non-positive point; ``FiniteTailMap`` is the codomain
 representation (two shift tails plus a finite explicit middle).
 
 ``hom_translation`` and ``hom_z2`` realize the two non-trivial shapes a
-homomorphism into the integer-line monoid can take; ``hom_constant`` is the
-annihilating one.  ``refute_finite_generation`` produces, for any finite
-would-be generating set, an element provably outside the generated
-submonoid together with its certificate.
+homomorphism into the integer-line monoid can take.
+``refute_finite_generation`` produces, for any finite would-be generating
+set, an element provably outside the generated submonoid together with its
+certificate.
 """
 
 from __future__ import annotations
@@ -152,11 +152,6 @@ def hom_translation(g: NatIsometry) -> IntIsometry:
 def hom_z2(g: NatIsometry) -> IntIsometry:
     """Homomorphism whose image is the two-element group {identity, x -> -x}."""
     return IntIsometry(ZIsometry(0, reflect=bool(g.shift % 2)))
-
-
-def hom_constant(g: NatIsometry) -> IntIsometry:
-    """The annihilating homomorphism (constant identity)."""
-    return IntIsometry(ZIsometry(0))
 
 
 def eps_conjugation(k: int, l: int) -> NatIsometry:

@@ -74,11 +74,6 @@ def natural_le(x: IntIsometry, y: IntIsometry) -> bool:
     return x.unit == y.unit and y.exceptions.issubset(x.exceptions)
 
 
-def unit_cover(x: IntIsometry) -> ZIsometry:
-    """The unique unit above x in the natural order."""
-    return x.unit
-
-
 def sigma(x: IntIsometry) -> ZIsometry:
     """Quotient map of the least group congruence, onto the unit group."""
     return x.unit

@@ -37,6 +37,3 @@ class ZIsometry:
 
     def is_identity(self) -> bool:
         return self.a == 0 and not self.reflect
-
-
-IDENTITY = ZIsometry(0)

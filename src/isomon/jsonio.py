@@ -18,18 +18,27 @@ def element_to_obj(e: NatIsometry | IntIsometry) -> dict:
     raise TypeError(f"not a monoid element: {e!r}")
 
 
+def _integer(value) -> int:
+    # JSON true/false decode to bool, a subclass of int: refuse them too
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def element_from_obj(obj: dict) -> NatIsometry | IntIsometry:
     try:
         kind = obj["kind"]
+        if kind not in ("nat", "int"):
+            raise ValueError(f"unknown element kind {kind!r}")
+        exc = FiniteIntSet([_integer(x) for x in obj["exceptions"]])
         if kind == "nat":
-            return NatIsometry(int(obj["shift"]),
-                               FiniteIntSet(int(x) for x in obj["exceptions"]))
-        if kind == "int":
-            return IntIsometry(ZIsometry(int(obj["a"]), bool(obj["reflect"])),
-                               FiniteIntSet(int(x) for x in obj["exceptions"]))
+            return NatIsometry(_integer(obj["shift"]), exc)
+        reflect = obj["reflect"]
+        if not isinstance(reflect, bool):
+            raise ValueError(f"expected a JSON boolean, got {reflect!r}")
+        return IntIsometry(ZIsometry(_integer(obj["a"]), reflect), exc)
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed element object: {err}") from err
-    raise ValueError(f"unknown element kind {obj.get('kind')!r}")
 
 
 def isoz_to_obj(u: ZIsometry) -> dict:
@@ -44,15 +53,6 @@ def tailmap_to_obj(f: FiniteTailMap) -> dict:
     return {"neg": [f.neg_threshold, f.neg_shift],
             "pos": [f.pos_threshold, f.pos_shift],
             "middle": [[x, y] for x, y in f.middle]}
-
-
-def tailmap_from_obj(obj: dict) -> FiniteTailMap:
-    try:
-        (nt, ns), (pt, ps) = obj["neg"], obj["pos"]
-        middle = [(int(x), int(y)) for x, y in obj["middle"]]
-    except (KeyError, TypeError, ValueError) as err:
-        raise ValueError(f"malformed tail-map object: {err}") from err
-    return FiniteTailMap(int(nt), int(ns), int(pt), int(ps), middle)
 
 
 def witness_to_obj(w: Witness) -> dict:

@@ -1,8 +1,9 @@
 import json
+import os
 
 import pytest
 
-from isomon.cli import main
+from isomon.cli import _worker_count, main
 
 
 def run(capsys, *argv):
@@ -155,6 +156,36 @@ def test_check_text(capsys):
     assert rc == 0
     assert out.startswith("PASS bicyclic-oracle")
     assert "1/1 suite runs passed" in out
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_check_rejects_jobs_below_one(capsys, jobs):
+    rc, out, err = run(capsys, "check", "--suite", "refute-fg", "--jobs", jobs)
+    assert rc == 1 and out == ""
+    assert err.startswith("isomon: --jobs must be at least 1")
+
+
+def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert [_worker_count(j) for j in (1, 3, 4, 5, 10 ** 6)] == [1, 3, 4, 4, 4]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # count unknown
+    assert _worker_count(8) == 1
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "int", "a": 0, "reflect": "false", "exceptions": []},
+    {"kind": "int", "a": True, "reflect": False, "exceptions": []},
+    {"kind": "nat", "shift": 2.7, "exceptions": []},
+    {"kind": "nat", "shift": 0, "exceptions": [1.9]},
+    {"kind": "nat", "shift": True, "exceptions": []},
+    {"kind": "nat", "shift": "3", "exceptions": []},
+    {"kind": "nat", "shift": 0, "exceptions": ["3"]},
+], ids=["reflect-string", "a-bool", "shift-float", "exception-float",
+        "shift-bool", "shift-string", "exception-string"])
+def test_element_wire_format_is_strict(tmp_path, capsys, obj):
+    rc, out, err = run(capsys, "sigma", write_element(tmp_path, "g.json", obj))
+    assert rc == 1 and out == ""
+    assert err.startswith("isomon: expected a JSON ")
 
 
 def test_check_rejects_unknown_suite(capsys):

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 from itertools import product
 
+import numpy as np
 import pytest
 
 from isomon import FiniteIntSet, IntIsometry, NatIsometry, ZIsometry
@@ -80,34 +82,84 @@ def test_every_suite_passes_at_small_bounds(name):
 
 def test_packed_composition_matches_object_composition():
     # the associativity scan packs elements into integers; verify the packed
-    # product agrees with the real one on every pair, including products of
-    # products (the layer the triple scan actually composes)
+    # product agrees with the real one on every pair product p and element z,
+    # in both orders (the layer the triple scan actually composes)
     for spec in (UniverseSpec("nat", 2, 2), UniverseSpec("int", 1, 1)):
         vec = _vec(spec)
         elems = _universe(spec)
-        pairs = [(x, y) for x, y in product(elems, repeat=2)]
-        products = [x * y for x, y in pairs]
-        for (x, y), p in zip(pairs, products):
-            for z in elems:
-                left = vec.compose(
-                    tuple(a for a in _singleton(vec, p)),
-                    tuple(a for a in _singleton(vec, z)))
-                assert int(vec.key(left)[0]) == vec.obj_key(p * z)
-                right = vec.compose(
-                    tuple(a for a in _singleton(vec, z)),
-                    tuple(a for a in _singleton(vec, p)))
-                assert int(vec.key(right)[0]) == vec.obj_key(z * p)
+        products = [x * y for x, y in product(elems, repeat=2)]
+        for e in products + list(elems):
+            assert vec.decode(vec.obj_key(e)) == e
+        ps = tuple(a[:, None] for a in vec.pack(products))
+        zs = tuple(a[None, :] for a in vec.pack(elems))
+        left = np.array([[vec.obj_key(p * z) for z in elems] for p in products])
+        right = np.array([[vec.obj_key(z * p) for z in elems] for p in products])
+        assert np.array_equal(vec.key(vec.compose(ps, zs)), left)
+        assert np.array_equal(vec.key(vec.compose(zs, ps)), right)
 
 
-def _singleton(vec, elem):
-    import numpy as np
-    key = vec.obj_key(elem)
-    decoded = vec.decode(key)
-    assert decoded == elem
-    if hasattr(vec, "radius"):
-        return (np.array([elem.unit.a]), np.array([int(elem.unit.reflect)]),
-                np.array([vec._mask(elem)]))
-    return (np.array([elem.shift]), np.array([vec._mask(elem)]))
+def test_assoc_falls_back_when_the_key_exceeds_63_bits():
+    # a 56-bit mask window, but the shift field takes the key to 64 bits
+    spec = UniverseSpec("nat", 0, 28)
+    assert _vec(spec) is None
+    report = run_suite("assoc", spec)
+    assert report.passed and report.instances == 29 ** 3
+    assert report.counters == {"pair_checks": 0}
+
+
+def test_assoc_packs_every_key_that_fits_63_bits():
+    # a 25-bit mask window: 32-bit keys
+    spec = UniverseSpec("int", 0, 6)
+    assert _vec(spec).key_bits == 32
+    report = run_suite("assoc", spec)
+    assert report.passed and report.instances == 52 ** 3
+    assert report.counters == {"pair_checks": 52 * 52}
+
+
+def _far_hole(compose):
+    # the product gains a hole outside every small universe
+    def wrong(x, y):
+        p = compose(x, y)
+        return dataclasses.replace(p, exceptions=FiniteIntSet([*p.exceptions, 50]))
+    return wrong
+
+
+def _left_factor(compose):
+    return lambda x, y: x
+
+
+WRONG_COMPOSE = {  # suite: (fault, fields of each failure)
+    "inverse-axioms": (_far_hole, {"input", "inverse"}),
+    "decompose-roundtrip": (_far_hole, {"input", "word", "evaluates_to"}),
+    "lemma-2.1": (_far_hole, {"inputs", "deficiencies", "got"}),
+    "lemma-3.4": (_far_hole, {"inputs", "got", "bound"}),
+    "lemma-3.5": (_far_hole, {"inputs", "got", "bound"}),
+    "prop-2.2": (_left_factor, {"inputs"}),
+    "sigma-hom": (_left_factor, {"inputs"}),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_COMPOSE)
+def test_suites_report_a_wrong_compose(monkeypatch, name):
+    fault, fields = WRONG_COMPOSE[name]
+    for monoid in SUITES[name].monoids:
+        cls = NatIsometry if monoid == "nat" else IntIsometry
+        wrong = fault(cls.compose)
+        with monkeypatch.context() as patch:
+            patch.setattr(cls, "compose", wrong)
+            patch.setattr(cls, "__mul__", wrong)
+            report = run_suite(name, SMALL_BY_MONOID[monoid])
+        assert report.failure_count > 0
+        assert all(set(f) == fields for f in report.failures)
+
+
+def test_lemma_3_3_reports_wrong_markers(monkeypatch):
+    markers = NatIsometry.markers
+    monkeypatch.setattr(NatIsometry, "markers",
+                        lambda g: markers(g)._replace(nr_high=markers(g).nr_high + 1))
+    report = run_suite("lemma-3.3", SMALL_BY_MONOID["nat"])
+    assert report.failure_count == report.instances > 0
+    assert all(set(f) == {"input", "markers"} for f in report.failures)
 
 
 def test_default_specs():

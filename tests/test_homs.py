@@ -6,7 +6,7 @@ from isomon import (FiniteIntSet, FiniteTailMap, IntIsometry, NatIsometry,
                     ZIsometry, eps_conjugation, extend_in, gen_a, gen_b,
                     gen_e, hom_translation, hom_z2, refute_finite_generation)
 from isomon.harness import UniverseSpec, enumerate_universe
-from isomon.homs import IDENTITY_MAP, hom_constant
+from isomon.homs import IDENTITY_MAP
 from isomon.natmonoid import identity
 
 SMALL = enumerate_universe(UniverseSpec("nat", 3, 1))
@@ -112,12 +112,10 @@ class TestRealizedHomomorphisms:
             p = x * y
             assert hom_translation(p) == hom_translation(x) * hom_translation(y)
             assert hom_z2(p) == hom_z2(x) * hom_z2(y)
-            assert hom_constant(p) == hom_constant(x) * hom_constant(y)
 
     def test_image_sizes(self):
         z2_image = {hom_z2(g) for g in SMALL}
         assert len(z2_image) == 2
-        assert len({hom_constant(g) for g in SMALL}) == 1
 
 
 class TestConjugation:

@@ -3,8 +3,7 @@ from itertools import product
 import pytest
 
 from isomon import (FiniteIntSet, FullUnitsError, HClassKind, IntIsometry,
-                    ZIsometry, hclass_group, restriction_isometries,
-                    unit_cover)
+                    ZIsometry, hclass_group, restriction_isometries)
 from isomon.harness import UniverseSpec, enumerate_universe
 from isomon.intmonoid import identity, identity_on, natural_le, sigma
 
@@ -80,9 +79,10 @@ def test_no_one_sided_units():
             assert x.deficiency == 0 and y.deficiency == 0
 
 
-def test_unit_cover_and_sigma():
+def test_sigma():
+    # sigma sends an element to its unit, the unique unit above it
     g = IntIsometry(ZIsometry(1), FiniteIntSet([0]))
-    assert unit_cover(g) == ZIsometry(1)
+    assert sigma(g) == ZIsometry(1)
     assert sigma(identity_on(FiniteIntSet([0, 1]))) == ZIsometry(0)
     for x, y in product(SMALL, repeat=2):
         assert sigma(x * y) == sigma(x) * sigma(y)
