@@ -9,6 +9,12 @@ counts, so two runs of ``isomon check --all --format json`` are identical.
 Suites shard their instance space over contiguous chunks of an outer index;
 ``--jobs`` runs chunks in worker processes and the merge is order-preserving,
 which is the only synchronization point.
+
+Every suite that composes pairs reads them from one product table per
+universe and process (``_products``): row i holds ``elems[i] * y`` for every
+y, built on first use, so a worker builds only its own chunk's rows.  The
+packed ``assoc`` scan checks each triple through the distinct pair products,
+which it composes once with every element on each side.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .words import decompose, decompose_filtered, evaluate, format_word, parse
 
 _CHUNK_FAIL_CAP = 200
 _REPORT_FAIL_CAP = 50
+_SCAN_BUDGET = 1 << 20  # elements per packed-scan array, or n * n if larger
 
 
 @dataclass(frozen=True)
@@ -91,6 +98,26 @@ def count_universe(spec: UniverseSpec) -> int:
 @lru_cache(maxsize=None)
 def _universe(spec: UniverseSpec) -> tuple:
     return tuple(enumerate_universe(spec))
+
+
+@lru_cache(maxsize=None)
+def _table(spec: UniverseSpec, mul: Callable) -> tuple[dict, dict]:
+    # keyed on the product in force too, so a replaced compose gets its own
+    return {}, {}
+
+
+def _products(spec: UniverseSpec, i: int) -> tuple:
+    """Row i of the universe's product table, ``elems[i] * y`` for every y.
+
+    Rows are built on first use, so a worker builds only its own chunk's.
+    Equal products are interned: each distinct product is one object.
+    """
+    elems = _universe(spec)
+    x = elems[i]
+    rows, distinct = _table(spec, type(x).__mul__)
+    if i not in rows:
+        rows[i] = tuple(distinct.setdefault(p, p) for p in (x * y for y in elems))
+    return rows[i]
 
 
 @dataclass
@@ -268,18 +295,21 @@ def _each(check):
 
 def _pairwise(check, left=None, right=None):
     """Chunk over pairs (x, y) with x in rows [lo, hi); ``left`` and ``right``
-    restrict either factor.  ``check(x, y)`` returns None or failure fields."""
+    restrict either factor.  ``check(x, y, p)``, with p = x * y read from the
+    product table, returns None or failure fields."""
     def chunk(spec, lo, hi, log, counters):
         elems = _universe(spec)
-        ys = elems if right is None else [y for y in elems if right(y)]
+        cols = [j for j, y in enumerate(elems) if right is None or right(y)]
         n = 0
-        for x in elems[lo:hi]:
+        for i in range(lo, hi):
+            x = elems[i]
             if left is not None and not left(x):
                 continue
-            for y in ys:
-                fields = check(x, y)
+            row = _products(spec, i)
+            for j in cols:
+                fields = check(x, elems[j], row[j])
                 if fields is not None:
-                    log.add({"inputs": _objs(x, y), **fields})
+                    log.add({"inputs": _objs(x, elems[j]), **fields})
                 n += 1
         return n
     return chunk
@@ -291,41 +321,52 @@ def _assoc_chunk(spec, lo, hi, log, counters):
     vec = _vec(spec)
     if vec is None:
         # object-level scan, for universes whose packed key is wider than int64
-        inner = [[x * y for y in elems] for x in elems]
         for i in range(lo, hi):
-            x = elems[i]
+            x, row = elems[i], _products(spec, i)
             for j in range(n):
-                p = inner[i][j]
+                inner = _products(spec, j)
                 for k in range(n):
-                    if p * elems[k] != x * inner[j][k]:
+                    if row[j] * elems[k] != x * inner[k]:
                         log.add({"inputs": _objs(x, elems[j], elems[k])})
         return (hi - lo) * n * n
     arrays = vec.pack(elems)
     cols = tuple(x[None, :] for x in arrays)
-    rows = tuple(x[:, None] for x in arrays)
-    pairwise = vec.compose(rows, cols)
+    pairwise = vec.compose(tuple(x[:, None] for x in arrays), cols)
     pair_keys = vec.key(pairwise)
     for i in range(lo, hi):
         # cross-check the packed composition against the real one on row i
-        obj_row = np.fromiter((vec.obj_key(elems[i] * y) for y in elems),
+        obj_row = np.fromiter((vec.obj_key(p) for p in _products(spec, i)),
                               dtype=np.int64, count=n)
         for j in np.nonzero(obj_row != pair_keys[i])[0]:
             log.add({"inputs": _objs(elems[i], elems[j]),
                      "check": "packed product mismatch"})
         counters["pair_checks"] += n
-    block = max(1, (1 << 20) // (n * n))
+    # Keys are injective, so every triple product goes through one of the
+    # distinct pair products q: (x_i y_j) z_k = pz[idx[i, j], k] and
+    # x_i (y_j z_k) = xq[i, idx[j, k]].
+    _, first, idx = np.unique(pair_keys, return_index=True, return_inverse=True)
+    idx = idx.reshape(n, n)
+    prods = tuple(x.reshape(-1)[first] for x in pairwise)
+    del pairwise, pair_keys  # n * n arrays; only the distinct products are used now
+    # No array exceeds the budget: pz holds the distinct products of a block
+    # of rows against every z, so a block is every row when all distinct
+    # products fit, else as many rows as hold n products each.
+    budget = max(_SCAN_BUDGET, n * n)
+    block = hi - lo if len(first) * n <= budget else budget // (n * n)
     for b0 in range(lo, hi, block):
         b1 = min(hi, b0 + block)
-        left = vec.key(vec.compose(
-            tuple(x[b0:b1, :, None] for x in pairwise),
-            tuple(x[None, None, :] for x in arrays)))
-        right = vec.key(vec.compose(
-            tuple(x[b0:b1][:, None, None] for x in arrays),
-            tuple(x[None, :, :] for x in pairwise)))
-        for i, j, k in np.argwhere(left != right):
-            log.add({"inputs": _objs(elems[b0 + i], elems[j], elems[k]),
-                     "left": element_to_obj(vec.decode(int(left[i, j, k]))),
-                     "right": element_to_obj(vec.decode(int(right[i, j, k])))})
+        used, local = np.unique(idx[b0:b1], return_inverse=True)
+        local = local.reshape(b1 - b0, n)
+        pz = vec.key(vec.compose(tuple(x[used][:, None] for x in prods), cols))
+        xq = vec.key(vec.compose(tuple(x[b0:b1, None] for x in arrays),
+                                 tuple(x[None, :] for x in prods)))
+        for i in range(b0, b1):
+            left = pz[local[i - b0]]
+            right = xq[i - b0][idx]
+            for j, k in np.argwhere(left != right):
+                log.add({"inputs": _objs(elems[i], elems[j], elems[k]),
+                         "left": element_to_obj(vec.decode(int(left[j, k]))),
+                         "right": element_to_obj(vec.decode(int(right[j, k])))})
     return (hi - lo) * n * n
 
 
@@ -335,9 +376,9 @@ def _inverse_check(g):
         return {"inverse": element_to_obj(gi)}
 
 
-def _lemma21_check(x, y):
+def _lemma21_check(x, y, p):
     dx, dy = x.deficiency, y.deficiency
-    d = (x * y).deficiency
+    d = p.deficiency
     if not max(dx, dy) <= d <= dx + dy:
         return {"deficiencies": [dx, dy], "got": d}
 
@@ -345,8 +386,8 @@ def _lemma21_check(x, y):
 _INT_IDENTITY = intmonoid.identity()
 
 
-def _prop22_check(x, y):
-    if x * y == _INT_IDENTITY and (x.deficiency or y.deficiency):
+def _prop22_check(x, y, p):
+    if p == _INT_IDENTITY and (x.deficiency or y.deficiency):
         return {}
 
 
@@ -392,14 +433,14 @@ def _lemma33_check(g):
 
 
 # Lemmas 3.4 and 3.5: g is the tail-defined factor, chosen by the suite's filter
-def _lemma34_check(g, d):
-    got = (g * d).gap()
+def _lemma34_check(g, d, p):
+    got = p.gap()
     if got > d.gap():
         return {"got": got, "bound": d.gap()}
 
 
-def _lemma35_check(d, g):
-    got = (d * g).gap()
+def _lemma35_check(d, g, p):
+    got = p.gap()
     if got > d.gap():
         return {"got": got, "bound": d.gap()}
 
@@ -408,11 +449,10 @@ def _lemma36_chunk(spec, lo, hi, log, counters):
     elems = _universe(spec)
     n = 0
     for i in range(lo, hi):
-        g = elems[i]
+        g, row = elems[i], _products(spec, i)
         gg = g.gap()
         mg = g.markers()
-        for d in elems:
-            p = g * d
+        for d, p in zip(elems, row):
             dg, pg = d.gap(), p.gap()
             md = d.markers()
             proper = not (is_bicyclic(g) or is_bicyclic(d) or is_bicyclic(p))
@@ -444,11 +484,11 @@ def _filtration_chunk(spec, lo, hi, log, counters):
     return hi - lo
 
 
-def _sigma_check(x, y):
+def _sigma_check(x, y, p):
     if isinstance(x, NatIsometry):
-        ok = natmonoid.sigma(x * y) == natmonoid.sigma(x) + natmonoid.sigma(y)
+        ok = natmonoid.sigma(p) == natmonoid.sigma(x) + natmonoid.sigma(y)
     else:
-        ok = intmonoid.sigma(x * y) == intmonoid.sigma(x) * intmonoid.sigma(y)
+        ok = intmonoid.sigma(p) == intmonoid.sigma(x) * intmonoid.sigma(y)
     return None if ok else {}
 
 
@@ -510,8 +550,7 @@ def _extension_chunk(spec, lo, hi, log, counters):
             if not ext[(i, n)].is_monotone():
                 log.add({"input": element_to_obj(g), "n": n,
                          "check": "monotone"})
-        for j, d in enumerate(elems):
-            p = g * d
+        for j, (d, p) in enumerate(zip(elems, _products(spec, i))):
             for n in _EXTENSION_POINTS:
                 n_checked += 1
                 if extend_in(p, n) != ext[(i, n)] * ext[(j, n)]:
@@ -530,8 +569,7 @@ def _cor212_chunk(spec, lo, hi, log, counters):
         g = elems[i]
         ht_g, hz_g = hom_translation(g), hom_z2(g)
         counters["z2_reflections" if hz_g.unit.reflect else "z2_identities"] += 1
-        for d in elems:
-            p = g * d
+        for d, p in zip(elems, _products(spec, i)):
             n += 2
             if hom_translation(p) != ht_g * hom_translation(d):
                 log.add({"inputs": _objs(g, d), "hom": "translation"})

@@ -100,7 +100,7 @@ def parse(text: str) -> Word:
                 raise WordSyntaxError("expected '[' after 'e'", i + 1)
             j = i + 2
             start = j
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j == start:
                 raise WordSyntaxError("expected a hole index", start)
@@ -117,7 +117,7 @@ def parse(text: str) -> Word:
         if i < n and text[i] == "^":
             j = i + 1
             start = j
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j == start:
                 raise WordSyntaxError("expected an exponent", start)

@@ -11,13 +11,22 @@ from isomon import IntIsometry, NatIsometry
 
 def nat_points(e: NatIsometry, hi: int) -> dict[int, int]:
     """The map e as explicit pairs on domain points 1..hi."""
-    return {x: x + e.shift for x in range(1, hi + 1) if x not in e.exceptions}
+    return nat_points_on(e, range(1, hi + 1))
+
+
+def nat_points_on(e: NatIsometry, window) -> dict[int, int]:
+    """The map e as explicit pairs on the given domain points."""
+    return {x: x + e.shift for x in window if x >= 1 and x not in e.exceptions}
 
 
 def int_points(e: IntIsometry, radius: int) -> dict[int, int]:
     """The map e as explicit pairs on domain points -radius..radius."""
-    return {x: e.unit.apply(x) for x in range(-radius, radius + 1)
-            if x not in e.exceptions}
+    return int_points_on(e, range(-radius, radius + 1))
+
+
+def int_points_on(e: IntIsometry, window) -> dict[int, int]:
+    """The map e as explicit pairs on the given domain points."""
+    return {x: e.unit.apply(x) for x in window if x not in e.exceptions}
 
 
 def compose_points(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:

@@ -5,11 +5,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from isomon import FiniteIntSet, IntIsometry, NatIsometry, ZIsometry
-from isomon.harness import (INT_DEFAULT, NAT_DEFAULT, SUITES, UniverseSpec,
+from isomon import FiniteIntSet, IntIsometry, NatIsometry, ZIsometry, harness
+from isomon.harness import (_REPORT_FAIL_CAP, INT_DEFAULT, NAT_DEFAULT, SUITES,
+                            UniverseSpec, _IntVec, _NatVec, _products, _table,
                             _universe, _vec, count_universe, default_specs,
                             enumerate_universe, run_selected, run_suite,
                             suite_names)
+from isomon.jsonio import element_to_obj
 
 
 def naive_nat_count(B, S):
@@ -116,6 +118,61 @@ def test_assoc_packs_every_key_that_fits_63_bits():
     assert report.counters == {"pair_checks": 52 * 52}
 
 
+def _packed_assoc_failures(spec, vec):
+    # what assoc must report for a packed compose, by a direct loop: every
+    # pair whose packed product disagrees with the object product, then
+    # every triple whose two packed products differ, in (i, j, k) order
+    elems = _universe(spec)
+    packed = list(zip(*vec.pack(elems)))
+    key = lambda t: int(vec.key(t))
+    out = []
+    for (x, s), (y, t) in product(zip(elems, packed), repeat=2):
+        if key(vec.compose(s, t)) != vec.obj_key(x * y):
+            out.append({"inputs": [element_to_obj(x), element_to_obj(y)],
+                        "check": "packed product mismatch"})
+    for i, j, k in product(range(len(elems)), repeat=3):
+        left = key(vec.compose(vec.compose(packed[i], packed[j]), packed[k]))
+        right = key(vec.compose(packed[i], vec.compose(packed[j], packed[k])))
+        if left != right:
+            out.append({"inputs": [element_to_obj(elems[m]) for m in (i, j, k)],
+                        "left": element_to_obj(vec.decode(left)),
+                        "right": element_to_obj(vec.decode(right))})
+    return out
+
+
+def _nat_hole_after_shift(compose):
+    # hole 1 appears when a shift by 1 is followed by a shift by 0
+    def wrong(self, t1, t2):
+        s, m = compose(self, t1, t2)
+        return s, m | np.where((t1[0] == 1) & (t2[0] == 0), 1, 0)
+    return wrong
+
+
+def _int_hole_after_reflection(compose):
+    # hole 0 appears when a reflection is followed by a translation
+    def wrong(self, t1, t2):
+        a, r, m = compose(self, t1, t2)
+        return a, r, m | np.where((t1[1] == 1) & (t2[1] == 0), 1 << self.radius, 0)
+    return wrong
+
+
+@pytest.mark.parametrize("spec, vec_cls, fault", [
+    (UniverseSpec("nat", 2, 1), _NatVec, _nat_hole_after_shift),
+    (UniverseSpec("int", 0, 1), _IntVec, _int_hole_after_reflection),
+])
+def test_assoc_reports_exactly_the_non_associative_triples(monkeypatch, spec,
+                                                           vec_cls, fault):
+    monkeypatch.setattr(vec_cls, "compose", fault(vec_cls.compose))
+    expected = _packed_assoc_failures(spec, _vec(spec))
+    assert any("left" in f for f in expected)
+    # a budget of n * n scans one row per block
+    for budget in (harness._SCAN_BUDGET, 0):
+        monkeypatch.setattr(harness, "_SCAN_BUDGET", budget)
+        report = run_suite("assoc", spec)
+        assert report.failure_count == len(expected)
+        assert report.failures == expected[:_REPORT_FAIL_CAP]
+
+
 def _far_hole(compose):
     # the product gains a hole outside every small universe
     def wrong(x, y):
@@ -171,11 +228,38 @@ def test_default_specs():
 
 
 def test_reports_are_deterministic_across_jobs():
-    spec = UniverseSpec("nat", 3, 1)
-    for name in ("assoc", "lemma-3.6", "decompose-roundtrip", "example-2.13"):
-        single = run_suite(name, spec, jobs=1).to_obj()
+    runs = [(UniverseSpec("nat", 3, 1), name) for name in
+            ("assoc", "lemma-3.6", "decompose-roundtrip", "example-2.13")]
+    runs += [(UniverseSpec("int", 1, 2), name) for name in
+             ("assoc", "lemma-2.1", "sigma-hom")]
+    for spec, name in runs:
+        # workers start without product rows, so each builds its own chunk's
+        _table.cache_clear()
         sharded = run_suite(name, spec, jobs=3).to_obj()
+        single = run_suite(name, spec, jobs=1).to_obj()
         assert json.dumps(single, sort_keys=True) == json.dumps(sharded, sort_keys=True)
+
+
+def test_product_rows_are_the_interned_products():
+    spec = SMALL_BY_MONOID["int"]
+    elems = _universe(spec)
+    interned = {}
+    for i, x in enumerate(elems):
+        row = _products(spec, i)
+        assert list(row) == [x * y for y in elems]
+        assert all(interned.setdefault(p, p) is p for p in row)
+    assert len(interned) < len(elems) ** 2
+
+
+def test_product_table_follows_the_compose_in_force(monkeypatch):
+    spec = SMALL_BY_MONOID["int"]
+    assert run_suite("lemma-2.1", spec).passed
+    wrong = _far_hole(IntIsometry.compose)
+    with monkeypatch.context() as patch:
+        patch.setattr(IntIsometry, "compose", wrong)
+        patch.setattr(IntIsometry, "__mul__", wrong)
+        assert not run_suite("lemma-2.1", spec).passed
+    assert run_suite("lemma-2.1", spec).passed
 
 
 def test_report_serialization_is_time_free():

@@ -38,6 +38,11 @@ def test_parse_errors_carry_offsets():
     with pytest.raises(WordSyntaxError) as err:
         parse("a^")
     assert err.value.offset == 2
+    # only ASCII digits: str.isdigit also takes other scripts' digits
+    for text in ("a^\u0663 e[\u0664]", "a^\u00b2", "e[\u0664]"):
+        with pytest.raises(WordSyntaxError) as err:
+            parse(text)
+        assert err.value.offset == 2
 
 
 def test_format_examples():
