@@ -6,22 +6,26 @@ exception sets, ...) and reports a deterministic count plus any
 counterexamples; reports are byte-stable across runs and across worker
 counts, so two runs of ``isomon check --all --format json`` are identical.
 
-Suites shard their instance space over contiguous chunks of an outer index;
-``--jobs`` runs chunks in worker processes and the merge is order-preserving,
-which is the only synchronization point.
+Suites shard their instance space over contiguous chunks of an outer index.
+With ``--jobs`` above 1, one set of worker processes lives for the whole
+``check`` run, and chunk c of every suite runs on worker c; the merge is
+order-preserving, which is the only synchronization point.
 
 Every suite that composes pairs reads them from one product table per
 universe and process (``_products``): row i holds ``elems[i] * y`` for every
-y, built on first use, so a worker builds only its own chunk's rows.  The
-packed ``assoc`` scan checks each triple through the distinct pair products,
-which it composes once with every element on each side.
+y, built on first use, so a worker builds only its own chunks' rows, once,
+and reuses them in every later suite of the run.  The packed ``assoc`` scan
+checks each triple through the distinct pair products, which it composes
+once with every element on each side.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import multiprocessing
 import time
+import traceback
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -293,12 +297,15 @@ def _each(check):
     return chunk
 
 
-def _pairwise(check, left=None, right=None):
+def _pairwise(check, left=None, right=None, each=None):
     """Chunk over pairs (x, y) with x in rows [lo, hi); ``left`` and ``right``
     restrict either factor.  ``check(x, y, p)``, with p = x * y read from the
-    product table, returns None or failure fields."""
+    product table, returns None or failure fields.  With ``each``, the check
+    gets ``each(x)`` and ``each(y)`` in place of x and y, computed once per
+    element and chunk."""
     def chunk(spec, lo, hi, log, counters):
         elems = _universe(spec)
+        vals = elems if each is None else [each(e) for e in elems]
         cols = [j for j, y in enumerate(elems) if right is None or right(y)]
         n = 0
         for i in range(lo, hi):
@@ -307,7 +314,7 @@ def _pairwise(check, left=None, right=None):
                 continue
             row = _products(spec, i)
             for j in cols:
-                fields = check(x, elems[j], row[j])
+                fields = check(vals[i], vals[j], row[j])
                 if fields is not None:
                     log.add({"inputs": _objs(x, elems[j]), **fields})
                 n += 1
@@ -333,10 +340,15 @@ def _assoc_chunk(spec, lo, hi, log, counters):
     cols = tuple(x[None, :] for x in arrays)
     pairwise = vec.compose(tuple(x[:, None] for x in arrays), cols)
     pair_keys = vec.key(pairwise)
+    # cross-check the packed composition against the real one, row by row;
+    # equal products are one object, so each distinct one is keyed once
+    keys: dict = {}
     for i in range(lo, hi):
-        # cross-check the packed composition against the real one on row i
-        obj_row = np.fromiter((vec.obj_key(p) for p in _products(spec, i)),
-                              dtype=np.int64, count=n)
+        row = _products(spec, i)
+        for p in row:
+            if id(p) not in keys:
+                keys[id(p)] = vec.obj_key(p)
+        obj_row = np.fromiter((keys[id(p)] for p in row), dtype=np.int64, count=n)
         for j in np.nonzero(obj_row != pair_keys[i])[0]:
             log.add({"inputs": _objs(elems[i], elems[j]),
                      "check": "packed product mismatch"})
@@ -432,36 +444,38 @@ def _lemma33_check(g):
         return {"markers": list(m)}
 
 
-# Lemmas 3.4 and 3.5: g is the tail-defined factor, chosen by the suite's filter
-def _lemma34_check(g, d, p):
+# Lemmas 3.4 and 3.5 see the factors' gaps; the tail-defined factor g is
+# chosen by the suite's filter, and d's gap bounds the product's
+def _lemma34_check(g_gap, d_gap, p):
     got = p.gap()
-    if got > d.gap():
-        return {"got": got, "bound": d.gap()}
+    if got > d_gap:
+        return {"got": got, "bound": d_gap}
 
 
-def _lemma35_check(d, g, p):
+def _lemma35_check(d_gap, g_gap, p):
     got = p.gap()
-    if got > d.gap():
-        return {"got": got, "bound": d.gap()}
+    if got > d_gap:
+        return {"got": got, "bound": d_gap}
 
 
 def _lemma36_chunk(spec, lo, hi, log, counters):
     elems = _universe(spec)
+    gaps = [e.gap() for e in elems]
+    marks = [e.markers() for e in elems]
+    tail = [is_bicyclic(e) for e in elems]
     n = 0
     for i in range(lo, hi):
         g, row = elems[i], _products(spec, i)
-        gg = g.gap()
-        mg = g.markers()
-        for d, p in zip(elems, row):
-            dg, pg = d.gap(), p.gap()
-            md = d.markers()
-            proper = not (is_bicyclic(g) or is_bicyclic(d) or is_bicyclic(p))
+        gg, mg = gaps[i], marks[i]
+        for j, p in enumerate(row):
+            dg, md, pg = gaps[j], marks[j], p.gap()
+            proper = not (tail[i] or tail[j] or is_bicyclic(p))
             for k in range(2, 6):
                 if gg > k or dg > k:
                     continue
                 n += 1
                 if pg > k:
-                    log.add({"inputs": _objs(g, d), "k": k, "got": pg})
+                    log.add({"inputs": _objs(g, elems[j]), "k": k, "got": pg})
                 if proper:
                     low = mg.nr_low <= md.nd_low
                     high = mg.nr_high <= md.nd_high
@@ -663,8 +677,10 @@ SUITES: dict[str, _Suite] = {
                                ("Trivial", "Z2", "FullUnits"),
                                size=lambda spec: 1 << (2 * spec.exception_bound + 1)),
     "lemma-3.3": _Suite(_NAT, _each(_lemma33_check)),
-    "lemma-3.4": _Suite(_NAT, _pairwise(_lemma34_check, left=is_bicyclic)),
-    "lemma-3.5": _Suite(_NAT, _pairwise(_lemma35_check, right=is_bicyclic)),
+    "lemma-3.4": _Suite(_NAT, _pairwise(_lemma34_check, left=is_bicyclic,
+                                        each=NatIsometry.gap)),
+    "lemma-3.5": _Suite(_NAT, _pairwise(_lemma35_check, right=is_bicyclic,
+                                        each=NatIsometry.gap)),
     "lemma-3.6": _Suite(_NAT, _lemma36_chunk, ("case1", "case2", "case3", "case4")),
     "filtration": _Suite(_NAT, _filtration_chunk),
     "sigma-hom": _Suite(_BOTH, _pairwise(_sigma_check)),
@@ -701,6 +717,73 @@ def _chunk_entry(args):
     return instances, log.items, log.total, counters
 
 
+class _RemoteTraceback(Exception):
+    """The traceback text of an exception raised in a worker process."""
+
+
+def _serve(conn):
+    """A worker's loop: run each chunk task received and reply with
+    ``(result, None)`` or ``(None, (exception, traceback text))``; stop at None."""
+    while (task := conn.recv()) is not None:
+        try:
+            reply = _chunk_entry(task), None
+        except Exception as exc:
+            reply = None, (exc, traceback.format_exc())
+        conn.send(reply)
+
+
+# (process, connection) per worker of the run in progress, else None
+_workers: list | None = None
+
+
+@contextlib.contextmanager
+def _worker_set(count: int):
+    """The workers of the run in progress, or ``count`` new ones for the block.
+
+    New workers are stopped and joined when the block ends, and terminated
+    first if it raises, so none outlives the run.
+    """
+    global _workers
+    if _workers is not None:
+        yield _workers
+        return
+    workers = []
+    try:
+        for _ in range(count):
+            conn, child = multiprocessing.Pipe()
+            proc = multiprocessing.Process(target=_serve, args=(child,), daemon=True)
+            proc.start()
+            child.close()
+            workers.append((proc, conn))
+        _workers = workers
+        yield workers
+    except BaseException:
+        for proc, _ in workers:
+            proc.terminate()
+        raise
+    finally:
+        _workers = None
+        for proc, conn in workers:
+            with contextlib.suppress(OSError):
+                conn.send(None)
+            proc.join()
+            conn.close()
+
+
+def _map(workers, tasks):
+    """Chunk c on worker c; the results in chunk order, or the first failed
+    chunk's exception once every worker has replied."""
+    used = workers[:len(tasks)]
+    for (_, conn), task in zip(used, tasks, strict=True):
+        conn.send(task)
+    replies = [conn.recv() for _, conn in used]
+    for _, error in replies:
+        if error is not None:
+            exc, tb = error
+            raise exc from _RemoteTraceback(tb)
+    return [result for result, _ in replies]
+
+
 def run_suite(name: str, spec: UniverseSpec, jobs: int = 1) -> SuiteReport:
     """Run one named suite over the given universe; deterministic for any jobs."""
     if name not in SUITES:
@@ -716,8 +799,8 @@ def run_suite(name: str, spec: UniverseSpec, jobs: int = 1) -> SuiteReport:
     if parts_count == 1:
         parts = [_chunk_entry(tasks[0])]
     else:
-        with multiprocessing.Pool(parts_count) as pool:
-            parts = pool.map(_chunk_entry, tasks)
+        with _worker_set(parts_count) as workers:
+            parts = _map(workers, tasks)
     instances = 0
     failures: list = []
     failure_total = 0
@@ -738,13 +821,18 @@ def run_suite(name: str, spec: UniverseSpec, jobs: int = 1) -> SuiteReport:
 
 def run_selected(names: list[str], bound: int | None = None,
                  shift_bound: int | None = None, jobs: int = 1) -> list[SuiteReport]:
-    """Run suites over their default universes, with optional bound overrides."""
+    """Run suites over their default universes, with optional bound overrides.
+
+    With ``jobs`` above 1 the worker processes are started once for the whole
+    call, so each keeps the product rows of its chunks for later suites.
+    """
     reports = []
-    for name in names:
-        for spec in default_specs(name):
-            if bound is not None:
-                spec = UniverseSpec(spec.monoid, bound, spec.shift_bound)
-            if shift_bound is not None:
-                spec = UniverseSpec(spec.monoid, spec.exception_bound, shift_bound)
-            reports.append(run_suite(name, spec, jobs))
+    with _worker_set(jobs) if jobs > 1 else contextlib.nullcontext():
+        for name in names:
+            for spec in default_specs(name):
+                if bound is not None:
+                    spec = UniverseSpec(spec.monoid, bound, spec.shift_bound)
+                if shift_bound is not None:
+                    spec = UniverseSpec(spec.monoid, spec.exception_bound, shift_bound)
+                reports.append(run_suite(name, spec, jobs))
     return reports
