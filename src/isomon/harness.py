@@ -11,12 +11,18 @@ With ``--jobs`` above 1, one set of worker processes lives for the whole
 ``check`` run, and chunk c of every suite runs on worker c; the merge is
 order-preserving, which is the only synchronization point.
 
+Elements and pairs are scanned by two helpers, ``_each`` and ``_pairwise``.
+A check yields one item per instance it checks: None when it holds, else the
+failure's fields, so one element or pair may carry several instances.
+
 Every suite that composes pairs reads them from one product table per
 universe and process (``_products``): row i holds ``elems[i] * y`` for every
 y, built on first use, so a worker builds only its own chunks' rows, once,
-and reuses them in every later suite of the run.  The packed ``assoc`` scan
-checks each triple through the distinct pair products, which it composes
-once with every element on each side.
+and reuses them in every later suite of the run.  Equal products are one
+interned object, so values a suite derives from a product are computed once
+per distinct product.  The packed ``assoc`` scan checks each triple through
+the distinct pair products, which it composes once with every element on
+each side.
 """
 
 from __future__ import annotations
@@ -173,7 +179,8 @@ class _FailLog:
 # window wide enough for every product of up to three universe elements, the
 # shift (and reflection flag) above it.  Composition then becomes a handful
 # of elementwise numpy operations, which makes the full triple scan cheap.
-# ``key_bits`` is the length of the widest key a triple product can have.
+# ``key_bits`` is the length of the widest key a triple product can have;
+# keys are int64 when they fit in 63 bits, else Python ints in object arrays.
 
 
 def _shift_bits(m, k):
@@ -184,15 +191,21 @@ def _shift_bits(m, k):
     return np.where(kk >= 0, left, right)
 
 
-class _NatVec:
+class _Vec:
+    @property
+    def dtype(self):
+        return np.int64 if self.key_bits <= 63 else object
+
+
+class _NatVec(_Vec):
     def __init__(self, spec: UniverseSpec):
         self.width = spec.exception_bound + 2 * spec.shift_bound
         self.koff = 3 * spec.shift_bound + 1
         self.key_bits = self.width + (2 * self.koff).bit_length()
 
     def pack(self, elems):
-        return (np.array([e.shift for e in elems], dtype=np.int64),
-                np.array([self._mask(e) for e in elems], dtype=np.int64))
+        return (np.array([e.shift for e in elems], dtype=self.dtype),
+                np.array([self._mask(e) for e in elems], dtype=self.dtype))
 
     @staticmethod
     def _mask(e: NatIsometry) -> int:
@@ -220,7 +233,7 @@ class _NatVec:
                                            if m >> b & 1))
 
 
-class _IntVec:
+class _IntVec(_Vec):
     def __init__(self, spec: UniverseSpec):
         self.radius = spec.exception_bound + 2 * spec.shift_bound
         self.width = 2 * self.radius + 1
@@ -228,9 +241,9 @@ class _IntVec:
         self.key_bits = self.width + 1 + (2 * self.koff).bit_length()
 
     def pack(self, elems):
-        return (np.array([e.unit.a for e in elems], dtype=np.int64),
-                np.array([int(e.unit.reflect) for e in elems], dtype=np.int64),
-                np.array([self._mask(e) for e in elems], dtype=np.int64))
+        return (np.array([e.unit.a for e in elems], dtype=self.dtype),
+                np.array([int(e.unit.reflect) for e in elems], dtype=self.dtype),
+                np.array([self._mask(e) for e in elems], dtype=self.dtype))
 
     def _mask(self, e: IntIsometry) -> int:
         return sum(1 << (x + self.radius) for x in e.exceptions)
@@ -271,9 +284,8 @@ class _IntVec:
 
 
 def _vec(spec: UniverseSpec):
-    """The packed encoding of a universe, or None if its keys exceed int64."""
-    vec = _NatVec(spec) if spec.monoid == "nat" else _IntVec(spec)
-    return vec if vec.key_bits <= 63 else None
+    """The packed encoding of a universe."""
+    return _NatVec(spec) if spec.monoid == "nat" else _IntVec(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -286,38 +298,62 @@ def _objs(*elems) -> list:
     return [element_to_obj(e) for e in elems]
 
 
+def _memo(f):
+    """``f`` computed once per object.  Keyed on ``id``, which is safe for
+    universe elements and interned products: their caches keep them alive."""
+    values: dict = {}
+
+    def value(obj):
+        if id(obj) not in values:
+            values[id(obj)] = f(obj)
+        return values[id(obj)]
+    return value
+
+
 def _each(check):
-    """Chunk over single elements; ``check(g)`` returns None or failure fields."""
+    """Chunk over single elements.  ``check(g)`` yields one item per instance
+    it checks: None, or the failure's fields besides ``input``."""
     def chunk(spec, lo, hi, log, counters):
+        n = 0
         for g in _universe(spec)[lo:hi]:
-            fields = check(g)
-            if fields is not None:
-                log.add({"input": element_to_obj(g), **fields})
-        return hi - lo
+            for fields in check(g):
+                n += 1
+                if fields is not None:
+                    log.add({"input": element_to_obj(g), **fields})
+        return n
     return chunk
 
 
-def _pairwise(check, left=None, right=None, each=None):
+def _pairwise(check, left=None, right=None, each=None, row=None):
     """Chunk over pairs (x, y) with x in rows [lo, hi); ``left`` and ``right``
-    restrict either factor.  ``check(x, y, p)``, with p = x * y read from the
-    product table, returns None or failure fields.  With ``each``, the check
-    gets ``each(x)`` and ``each(y)`` in place of x and y, computed once per
-    element and chunk."""
+    restrict either factor.  ``check(x, y, p, counters)``, with p = x * y from
+    the product table, yields one item per instance it checks: None, or the
+    failure's fields besides ``inputs``.  With ``each``, it gets ``each(x)``,
+    ``each(y)`` and ``each(p)`` instead, computed once per element and once
+    per distinct product in a chunk.  ``row(i, x, each(x), counters)`` yields
+    row i's own items, failures whole, before its pairs."""
     def chunk(spec, lo, hi, log, counters):
         elems = _universe(spec)
-        vals = elems if each is None else [each(e) for e in elems]
+        value = None if each is None else _memo(each)
+        vals = elems if value is None else [value(e) for e in elems]
         cols = [j for j, y in enumerate(elems) if right is None or right(y)]
         n = 0
         for i in range(lo, hi):
-            x = elems[i]
+            x, xv = elems[i], vals[i]
+            if row is not None:
+                for failure in row(i, x, xv, counters):
+                    n += 1
+                    if failure is not None:
+                        log.add(failure)
             if left is not None and not left(x):
                 continue
-            row = _products(spec, i)
+            prods = _products(spec, i)
             for j in cols:
-                fields = check(vals[i], vals[j], row[j])
-                if fields is not None:
-                    log.add({"inputs": _objs(x, elems[j]), **fields})
-                n += 1
+                p = prods[j] if value is None else value(prods[j])
+                for fields in check(xv, vals[j], p, counters):
+                    n += 1
+                    if fields is not None:
+                        log.add({"inputs": _objs(x, elems[j]), **fields})
         return n
     return chunk
 
@@ -326,29 +362,15 @@ def _assoc_chunk(spec, lo, hi, log, counters):
     elems = _universe(spec)
     n = len(elems)
     vec = _vec(spec)
-    if vec is None:
-        # object-level scan, for universes whose packed key is wider than int64
-        for i in range(lo, hi):
-            x, row = elems[i], _products(spec, i)
-            for j in range(n):
-                inner = _products(spec, j)
-                for k in range(n):
-                    if row[j] * elems[k] != x * inner[k]:
-                        log.add({"inputs": _objs(x, elems[j], elems[k])})
-        return (hi - lo) * n * n
     arrays = vec.pack(elems)
     cols = tuple(x[None, :] for x in arrays)
     pairwise = vec.compose(tuple(x[:, None] for x in arrays), cols)
     pair_keys = vec.key(pairwise)
     # cross-check the packed composition against the real one, row by row;
     # equal products are one object, so each distinct one is keyed once
-    keys: dict = {}
+    key = _memo(vec.obj_key)
     for i in range(lo, hi):
-        row = _products(spec, i)
-        for p in row:
-            if id(p) not in keys:
-                keys[id(p)] = vec.obj_key(p)
-        obj_row = np.fromiter((keys[id(p)] for p in row), dtype=np.int64, count=n)
+        obj_row = np.fromiter(map(key, _products(spec, i)), dtype=vec.dtype, count=n)
         for j in np.nonzero(obj_row != pair_keys[i])[0]:
             log.add({"inputs": _objs(elems[i], elems[j]),
                      "check": "packed product mismatch"})
@@ -384,23 +406,21 @@ def _assoc_chunk(spec, lo, hi, log, counters):
 
 def _inverse_check(g):
     gi = g.inverse()
-    if g * gi * g != g or gi * g * gi != gi:
-        return {"inverse": element_to_obj(gi)}
+    ok = g * gi * g == g and gi * g * gi == gi
+    yield None if ok else {"inverse": element_to_obj(gi)}
 
 
-def _lemma21_check(x, y, p):
+def _lemma21_check(x, y, p, counters):
     dx, dy = x.deficiency, y.deficiency
     d = p.deficiency
-    if not max(dx, dy) <= d <= dx + dy:
-        return {"deficiencies": [dx, dy], "got": d}
+    yield None if max(dx, dy) <= d <= dx + dy else {"deficiencies": [dx, dy], "got": d}
 
 
 _INT_IDENTITY = intmonoid.identity()
 
 
-def _prop22_check(x, y, p):
-    if p == _INT_IDENTITY and (x.deficiency or y.deficiency):
-        return {}
+def _prop22_check(x, y, p, counters):
+    yield {} if p == _INT_IDENTITY and (x.deficiency or y.deficiency) else None
 
 
 def _lemma29_chunk(spec, lo, hi, log, counters):
@@ -440,49 +460,38 @@ def _lemma29_chunk(spec, lo, hi, log, counters):
 
 def _lemma33_check(g):
     m = g.markers()
-    if m.nr_high - m.nr_low != m.nd_high - m.nd_low:
-        return {"markers": list(m)}
+    yield None if m.nr_high - m.nr_low == m.nd_high - m.nd_low else {"markers": list(m)}
 
 
-# Lemmas 3.4 and 3.5 see the factors' gaps; the tail-defined factor g is
-# chosen by the suite's filter, and d's gap bounds the product's
-def _lemma34_check(g_gap, d_gap, p):
-    got = p.gap()
-    if got > d_gap:
-        return {"got": got, "bound": d_gap}
+# Lemmas 3.4 and 3.5 see the gaps of the factors and the product; the
+# tail-defined factor g is chosen by the suite's filter, and d's gap bounds
+# the product's
+def _lemma34_check(g_gap, d_gap, p_gap, counters):
+    yield None if p_gap <= d_gap else {"got": p_gap, "bound": d_gap}
 
 
-def _lemma35_check(d_gap, g_gap, p):
-    got = p.gap()
-    if got > d_gap:
-        return {"got": got, "bound": d_gap}
+def _lemma35_check(d_gap, g_gap, p_gap, counters):
+    yield None if p_gap <= d_gap else {"got": p_gap, "bound": d_gap}
 
 
-def _lemma36_chunk(spec, lo, hi, log, counters):
-    elems = _universe(spec)
-    gaps = [e.gap() for e in elems]
-    marks = [e.markers() for e in elems]
-    tail = [is_bicyclic(e) for e in elems]
-    n = 0
-    for i in range(lo, hi):
-        g, row = elems[i], _products(spec, i)
-        gg, mg = gaps[i], marks[i]
-        for j, p in enumerate(row):
-            dg, md, pg = gaps[j], marks[j], p.gap()
-            proper = not (tail[i] or tail[j] or is_bicyclic(p))
-            for k in range(2, 6):
-                if gg > k or dg > k:
-                    continue
-                n += 1
-                if pg > k:
-                    log.add({"inputs": _objs(g, elems[j]), "k": k, "got": pg})
-                if proper:
-                    low = mg.nr_low <= md.nd_low
-                    high = mg.nr_high <= md.nd_high
-                    case = {(True, True): "case1", (False, True): "case2",
-                            (True, False): "case3", (False, False): "case4"}[(low, high)]
-                    counters[case] += 1
-    return n
+_MARKER_CASES = {(True, True): "case1", (False, True): "case2",
+                 (True, False): "case3", (False, False): "case4"}
+
+
+def _lemma36_values(g):
+    return g.gap(), g.markers(), is_bicyclic(g)
+
+
+def _lemma36_check(gv, dv, pv, counters):
+    (g_gap, mg, g_tail), (d_gap, md, d_tail), (p_gap, _, p_tail) = gv, dv, pv
+    case = None
+    if not (g_tail or d_tail or p_tail):
+        case = _MARKER_CASES[mg.nr_low <= md.nd_low, mg.nr_high <= md.nd_high]
+    # one instance per k = 2..5 that bounds both factors' gaps
+    for k in range(max(2, g_gap, d_gap), 6):
+        if case is not None:
+            counters[case] += 1
+        yield {"k": k, "got": p_gap} if p_gap > k else None
 
 
 def _filtration_chunk(spec, lo, hi, log, counters):
@@ -498,39 +507,34 @@ def _filtration_chunk(spec, lo, hi, log, counters):
     return hi - lo
 
 
-def _sigma_check(x, y, p):
+def _sigma_check(x, y, p, counters):
     if isinstance(x, NatIsometry):
         ok = natmonoid.sigma(p) == natmonoid.sigma(x) + natmonoid.sigma(y)
     else:
         ok = intmonoid.sigma(p) == intmonoid.sigma(x) * intmonoid.sigma(y)
-    return None if ok else {}
+    yield None if ok else {}
 
 
 def _roundtrip_check(g):
     w = decompose(g)
     if evaluate(w) != g:
-        return {"word": format_word(w), "evaluates_to": element_to_obj(evaluate(w))}
-    if parse(format_word(w)) != w:
-        return {"word": format_word(w), "check": "parse/print round-trip"}
+        yield {"word": format_word(w), "evaluates_to": element_to_obj(evaluate(w))}
+    elif parse(format_word(w)) != w:
+        yield {"word": format_word(w), "check": "parse/print round-trip"}
+    else:
+        yield None
 
 
-def _filtered_chunk(spec, lo, hi, log, counters):
-    elems = _universe(spec)
-    n = 0
-    for i in range(lo, hi):
-        g = elems[i]
-        for k in (2, 3, 4):
-            if g.gap() > k:
-                continue
-            n += 1
-            w = decompose_filtered(g, k)
-            alphabet_ok = all(t.kind in ("a", "b") or t.index == k
-                              for t in w.tokens)
-            if evaluate(w) != g or not alphabet_ok:
-                log.add({"input": element_to_obj(g), "k": k,
-                         "word": format_word(w),
-                         "evaluates_to": element_to_obj(evaluate(w))})
-    return n
+def _filtered_check(g):
+    # one instance per k = 2..4 that bounds g's gap
+    for k in range(max(2, g.gap()), 5):
+        w = decompose_filtered(g, k)
+        alphabet_ok = all(t.kind in ("a", "b") or t.index == k for t in w.tokens)
+        if evaluate(w) == g and alphabet_ok:
+            yield None
+        else:
+            yield {"k": k, "word": format_word(w),
+                   "evaluates_to": element_to_obj(evaluate(w))}
 
 
 _CONJUGATION_PAIRS = [(k, l) for k in range(3, 13) for l in range(2, k)]
@@ -548,48 +552,38 @@ def _conjugation_chunk(spec, lo, hi, log, counters):
 _EXTENSION_POINTS = (0, -1, -2)
 
 
-def _extension_chunk(spec, lo, hi, log, counters):
-    elems = _universe(spec)
-    ext = {(j, n): extend_in(g, n)
-           for j, g in enumerate(elems) for n in _EXTENSION_POINTS}
-    n_checked = 0
-    if lo == 0:
-        n_checked += 1
-        if extend_in(natmonoid.identity(), 0) != IDENTITY_MAP:
-            log.add({"check": "extension of the identity at 0"})
-    for i in range(lo, hi):
-        g = elems[i]
-        for n in _EXTENSION_POINTS:
-            n_checked += 1
-            if not ext[(i, n)].is_monotone():
-                log.add({"input": element_to_obj(g), "n": n,
-                         "check": "monotone"})
-        for j, (d, p) in enumerate(zip(elems, _products(spec, i))):
-            for n in _EXTENSION_POINTS:
-                n_checked += 1
-                if extend_in(p, n) != ext[(i, n)] * ext[(j, n)]:
-                    log.add({"inputs": _objs(g, d), "n": n})
-    return n_checked
+def _extensions(g):
+    return tuple(extend_in(g, n) for n in _EXTENSION_POINTS)
 
 
-def _cor212_chunk(spec, lo, hi, log, counters):
-    elems = _universe(spec)
-    n = 0
-    if lo == 0:
-        n += 1
-        if hom_translation(gen_a()).unit.order() is not None:
-            log.add({"check": "translation image must have infinite order"})
-    for i in range(lo, hi):
-        g = elems[i]
-        ht_g, hz_g = hom_translation(g), hom_z2(g)
-        counters["z2_reflections" if hz_g.unit.reflect else "z2_identities"] += 1
-        for d, p in zip(elems, _products(spec, i)):
-            n += 2
-            if hom_translation(p) != ht_g * hom_translation(d):
-                log.add({"inputs": _objs(g, d), "hom": "translation"})
-            if hom_z2(p) != hz_g * hom_z2(d):
-                log.add({"inputs": _objs(g, d), "hom": "z2"})
-    return n
+def _extension_row(i, g, exts, counters):
+    if i == 0:
+        yield (None if extend_in(natmonoid.identity(), 0) == IDENTITY_MAP
+               else {"check": "extension of the identity at 0"})
+    for n, ext in zip(_EXTENSION_POINTS, exts):
+        yield (None if ext.is_monotone()
+               else {"input": element_to_obj(g), "n": n, "check": "monotone"})
+
+
+def _extension_check(g_exts, d_exts, p_exts, counters):
+    for n, eg, ed, ep in zip(_EXTENSION_POINTS, g_exts, d_exts, p_exts):
+        yield None if ep == eg * ed else {"n": n}
+
+
+def _cor212_homs(g):
+    return hom_translation(g), hom_z2(g)
+
+
+def _cor212_row(i, g, homs, counters):
+    if i == 0:
+        yield (None if hom_translation(gen_a()).unit.order() is None
+               else {"check": "translation image must have infinite order"})
+    counters["z2_reflections" if homs[1].unit.reflect else "z2_identities"] += 1
+
+
+def _cor212_check(g_homs, d_homs, p_homs, counters):
+    for hom, hg, hd, hp in zip(("translation", "z2"), g_homs, d_homs, p_homs):
+        yield None if hp == hg * hd else {"hom": hom}
 
 
 def _cor212_finalize(spec, counters):
@@ -681,16 +675,19 @@ SUITES: dict[str, _Suite] = {
                                         each=NatIsometry.gap)),
     "lemma-3.5": _Suite(_NAT, _pairwise(_lemma35_check, right=is_bicyclic,
                                         each=NatIsometry.gap)),
-    "lemma-3.6": _Suite(_NAT, _lemma36_chunk, ("case1", "case2", "case3", "case4")),
+    "lemma-3.6": _Suite(_NAT, _pairwise(_lemma36_check, each=_lemma36_values),
+                        ("case1", "case2", "case3", "case4")),
     "filtration": _Suite(_NAT, _filtration_chunk),
     "sigma-hom": _Suite(_BOTH, _pairwise(_sigma_check)),
     "decompose-roundtrip": _Suite(_NAT, _each(_roundtrip_check)),
-    "decompose-filtered": _Suite(_NAT, _filtered_chunk),
+    "decompose-filtered": _Suite(_NAT, _each(_filtered_check)),
     "remark-3.9": _Suite(_NAT, _conjugation_chunk,
                          size=lambda spec: len(_CONJUGATION_PAIRS)),
-    "example-2.13": _Suite(_NAT, _extension_chunk),
-    "cor-2.12": _Suite(_NAT, _cor212_chunk, ("z2_identities", "z2_reflections"),
-                       finalize=_cor212_finalize),
+    "example-2.13": _Suite(_NAT, _pairwise(_extension_check, each=_extensions,
+                                           row=_extension_row)),
+    "cor-2.12": _Suite(_NAT, _pairwise(_cor212_check, each=_cor212_homs,
+                                       row=_cor212_row),
+                       ("z2_identities", "z2_reflections"), finalize=_cor212_finalize),
     "bicyclic-oracle": _Suite(_NAT, _bicyclic_chunk,
                               size=lambda spec: _BICYCLIC_BOUND ** 4),
     "refute-fg": _Suite(_NAT, _refute_chunk, ("products_checked",),

@@ -83,11 +83,15 @@ def test_every_suite_passes_at_small_bounds(name):
         assert report.instances > 0
 
 
+# a 56-bit mask window, but the shift field takes the key to 64 bits
+WIDE_NAT = UniverseSpec("nat", 0, 28)
+
+
 def test_packed_composition_matches_object_composition():
     # the associativity scan packs elements into integers; verify the packed
     # product agrees with the real one on every pair product p and element z,
     # in both orders (the layer the triple scan actually composes)
-    for spec in (UniverseSpec("nat", 2, 2), UniverseSpec("int", 1, 1)):
+    for spec in (UniverseSpec("nat", 2, 2), UniverseSpec("int", 1, 1), WIDE_NAT):
         vec = _vec(spec)
         elems = _universe(spec)
         products = [x * y for x, y in product(elems, repeat=2)]
@@ -95,19 +99,21 @@ def test_packed_composition_matches_object_composition():
             assert vec.decode(vec.obj_key(e)) == e
         ps = tuple(a[:, None] for a in vec.pack(products))
         zs = tuple(a[None, :] for a in vec.pack(elems))
-        left = np.array([[vec.obj_key(p * z) for z in elems] for p in products])
-        right = np.array([[vec.obj_key(z * p) for z in elems] for p in products])
+        left = np.array([[vec.obj_key(p * z) for z in elems] for p in products],
+                        dtype=vec.dtype)
+        right = np.array([[vec.obj_key(z * p) for z in elems] for p in products],
+                         dtype=vec.dtype)
         assert np.array_equal(vec.key(vec.compose(ps, zs)), left)
         assert np.array_equal(vec.key(vec.compose(zs, ps)), right)
 
 
-def test_assoc_falls_back_when_the_key_exceeds_63_bits():
-    # a 56-bit mask window, but the shift field takes the key to 64 bits
-    spec = UniverseSpec("nat", 0, 28)
-    assert _vec(spec) is None
-    report = run_suite("assoc", spec)
+def test_assoc_packs_python_int_keys_beyond_63_bits():
+    vec = _vec(WIDE_NAT)
+    assert vec.key_bits == 64
+    assert all(a.dtype == object for a in vec.pack(_universe(WIDE_NAT)))
+    report = run_suite("assoc", WIDE_NAT)
     assert report.passed and report.instances == 29 ** 3
-    assert report.counters == {"pair_checks": 0}
+    assert report.counters == {"pair_checks": 29 * 29}
 
 
 def test_assoc_packs_every_key_that_fits_63_bits():
@@ -122,10 +128,12 @@ def test_assoc_packs_every_key_that_fits_63_bits():
 def _packed_assoc_failures(spec, vec):
     # what assoc must report for a packed compose, by a direct loop: every
     # pair whose packed product disagrees with the object product, then
-    # every triple whose two packed products differ, in (i, j, k) order
+    # every triple whose two packed products differ, in (i, j, k) order;
+    # elements are one-element slices, so wide keys stay Python ints
     elems = _universe(spec)
-    packed = list(zip(*vec.pack(elems)))
-    key = lambda t: int(vec.key(t))
+    arrays = vec.pack(elems)
+    packed = [tuple(a[i:i + 1] for a in arrays) for i in range(len(elems))]
+    key = lambda t: int(vec.key(t)[0])
     out = []
     for (x, s), (y, t) in product(zip(elems, packed), repeat=2):
         if key(vec.compose(s, t)) != vec.obj_key(x * y):
@@ -160,6 +168,7 @@ def _int_hole_after_reflection(compose):
 @pytest.mark.parametrize("spec, vec_cls, fault", [
     (UniverseSpec("nat", 2, 1), _NatVec, _nat_hole_after_shift),
     (UniverseSpec("int", 0, 1), _IntVec, _int_hole_after_reflection),
+    (WIDE_NAT, _NatVec, _nat_hole_after_shift),
 ])
 def test_assoc_reports_exactly_the_non_associative_triples(monkeypatch, spec,
                                                            vec_cls, fault):
@@ -194,6 +203,10 @@ WRONG_COMPOSE = {  # suite: (fault, fields of each failure)
     "lemma-3.5": (_far_hole, {"inputs", "got", "bound"}),
     "prop-2.2": (_left_factor, {"inputs"}),
     "sigma-hom": (_left_factor, {"inputs"}),
+    "lemma-3.6": (_far_hole, {"inputs", "k", "got"}),
+    "example-2.13": (_far_hole, {"inputs", "n"}),
+    "cor-2.12": (_left_factor, {"inputs", "hom"}),
+    "decompose-filtered": (_far_hole, {"input", "k", "word", "evaluates_to"}),
 }
 
 
@@ -209,6 +222,21 @@ def test_suites_report_a_wrong_compose(monkeypatch, name):
             report = run_suite(name, SMALL_BY_MONOID[monoid])
         assert report.failure_count > 0
         assert all(set(f) == fields for f in report.failures)
+
+
+def test_example_2_13_extends_each_element_and_distinct_product_once(monkeypatch):
+    spec = SMALL_BY_MONOID["nat"]
+    elems = _universe(spec)
+    distinct = {p for i in range(len(elems)) for p in _products(spec, i)}
+    calls = []
+    extend_in = harness.extend_in
+    monkeypatch.setattr(harness, "extend_in",
+                        lambda g, n: calls.append(g) or extend_in(g, n))
+    assert run_suite("example-2.13", spec).passed
+    points = len(harness._EXTENSION_POINTS)
+    # the identity's extension is checked once more, on its own
+    assert len(calls) <= points * (len(elems) + len(distinct)) + 1
+    assert points * (len(elems) + len(distinct)) + 1 < points * len(elems) ** 2
 
 
 def test_lemma_3_3_reports_wrong_markers(monkeypatch):
