@@ -581,9 +581,16 @@ def _cor212_row(i, g, homs, counters):
     counters["z2_reflections" if homs[1].unit.reflect else "z2_identities"] += 1
 
 
+@lru_cache(maxsize=None)
+def _image_product(hg, hd, mul):
+    # the images take a handful of values, so each pair is composed once;
+    # keyed on the product in force too, so a replaced compose gets its own
+    return mul(hg, hd)
+
+
 def _cor212_check(g_homs, d_homs, p_homs, counters):
     for hom, hg, hd, hp in zip(("translation", "z2"), g_homs, d_homs, p_homs):
-        yield None if hp == hg * hd else {"hom": hom}
+        yield None if hp == _image_product(hg, hd, type(hg).__mul__) else {"hom": hom}
 
 
 def _cor212_finalize(spec, counters):

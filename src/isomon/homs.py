@@ -140,7 +140,8 @@ def extend_in(g: NatIsometry, n: int) -> FiniteTailMap:
     if n > 0:
         raise ValueError(f"extension point must be <= 0, got {n}")
     tail_from = g.markers().nd_high
-    mid = [(x, x + g.shift) for x in range(1, tail_from) if x not in g.exceptions]
+    holes = set(g.holes)
+    mid = [(x, x + g.shift) for x in range(g.prefix + 1, tail_from) if x not in holes]
     return FiniteTailMap(n, 0, tail_from, g.shift, mid)
 
 

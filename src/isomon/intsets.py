@@ -34,6 +34,13 @@ class FiniteIntSet:
     def __init__(self, items: Iterable[int] = ()):
         self._items: tuple[int, ...] = tuple(sorted(set(items)))
 
+    @classmethod
+    def _from_sorted(cls, items: tuple[int, ...]) -> "FiniteIntSet":
+        """The set of ``items``, a tuple already sorted and duplicate-free."""
+        s = object.__new__(cls)
+        s._items = items
+        return s
+
     @property
     def items(self) -> tuple[int, ...]:
         return self._items
@@ -64,19 +71,8 @@ class FiniteIntSet:
     def __or__(self, other: "FiniteIntSet") -> "FiniteIntSet":
         return FiniteIntSet(self._items + other._items)
 
-    def __and__(self, other: "FiniteIntSet") -> "FiniteIntSet":
-        right = set(other._items)
-        return FiniteIntSet(x for x in self._items if x in right)
-
-    def __sub__(self, other: "FiniteIntSet") -> "FiniteIntSet":
-        right = set(other._items)
-        return FiniteIntSet(x for x in self._items if x not in right)
-
     def issubset(self, other: "FiniteIntSet") -> bool:
         return set(self._items) <= set(other._items)
-
-    def translate(self, d: int) -> "FiniteIntSet":
-        return FiniteIntSet(x + d for x in self._items)
 
     def reflect(self, center: HalfInteger) -> "FiniteIntSet":
         """Image under the reflection x -> 2*center - x."""

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .intsets import FiniteIntSet
-from .natmonoid import NatIsometry, gen_e, identity
+from .natmonoid import Bicyclic, NatIsometry, from_bicyclic, gen_e, identity
 
 
 class Token(NamedTuple):
@@ -146,7 +145,7 @@ def _token_element(t: Token) -> NatIsometry:
     if t.kind == "a":
         return NatIsometry(t.exp)
     if t.kind == "b":
-        return NatIsometry(-t.exp, FiniteIntSet(range(1, t.exp + 1)))
+        return from_bicyclic(Bicyclic(t.exp, 0))
     return gen_e(t.index)
 
 
@@ -165,7 +164,7 @@ def decompose(g: NatIsometry) -> Word:
     down shifts, then the up shifts.
     """
     m = g.markers()
-    tokens = [Token("e", 1, x) for x in g.exceptions if x >= m.nd_low]
+    tokens = [Token("e", 1, x) for x in g.holes]
     if m.nd_low > 1:
         tokens.append(Token("b", m.nd_low - 1))
     if m.nr_low > 1:
@@ -187,9 +186,7 @@ def decompose_filtered(g: NatIsometry, k: int) -> Word:
     tokens: list[Token] = []
     if m.nd_low > 1:
         tokens.append(Token("b", m.nd_low - 1))
-    for x in g.exceptions:
-        if x <= m.nd_low:
-            continue
+    for x in g.holes:
         l = x - m.nd_low + 1
         if k - l:
             tokens.append(Token("a", k - l))

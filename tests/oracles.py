@@ -3,7 +3,9 @@
 Elements are realized as explicit dictionaries over a bounded window and
 composed point by point, so none of the library's representation arithmetic
 is involved.  Window margins are chosen so truncation never affects the
-compared region.
+compared region.  A nat element's holes are read once per element, from its
+stored prefix and sparse holes, so a window costs O(window) however long
+the prefix.
 """
 
 from isomon import IntIsometry, NatIsometry
@@ -16,7 +18,23 @@ def nat_points(e: NatIsometry, hi: int) -> dict[int, int]:
 
 def nat_points_on(e: NatIsometry, window) -> dict[int, int]:
     """The map e as explicit pairs on the given domain points."""
-    return {x: x + e.shift for x in window if x >= 1 and x not in e.exceptions}
+    defined = nat_domain(e)
+    return {x: x + e.shift for x in window if defined(x)}
+
+
+def nat_domain(e: NatIsometry):
+    """Membership in e's domain, with e's holes taken once: the initial run
+    1..prefix as a bound, the sparse holes as a hash set."""
+    prefix, holes = e.prefix, frozenset(e.holes)
+    return lambda x: x > prefix and x not in holes
+
+
+def nat_is_canonical(e: NatIsometry) -> bool:
+    """The stored parts of e are its normal form: the domain minimum maps to
+    1 or above, and the holes are sorted, distinct and above prefix + 1."""
+    edges = (e.prefix + 1, *e.holes)
+    return (e.prefix >= 0 and e.prefix + e.shift >= 0 and isinstance(e.holes, tuple)
+            and all(a < b for a, b in zip(edges, edges[1:])))
 
 
 def int_points(e: IntIsometry, radius: int) -> dict[int, int]:
@@ -26,7 +44,8 @@ def int_points(e: IntIsometry, radius: int) -> dict[int, int]:
 
 def int_points_on(e: IntIsometry, window) -> dict[int, int]:
     """The map e as explicit pairs on the given domain points."""
-    return {x: e.unit.apply(x) for x in window if x not in e.exceptions}
+    holes = set(e.exceptions)
+    return {x: e.unit.apply(x) for x in window if x not in holes}
 
 
 def compose_points(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
@@ -37,3 +56,19 @@ def compose_points(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
 def agree_on(e, points: dict[int, int], window) -> bool:
     """True when e.apply matches the explicit map everywhere on the window."""
     return all(e.apply(x) == points.get(x) for x in window)
+
+
+def word_apply(tokens, x: int) -> int | None:
+    """The image of x under a word's generators applied left to right:
+    ``a^n`` adds n, ``b^n`` subtracts n where the result stays at 1 or above,
+    ``e[k]`` fixes every point but k."""
+    for t in tokens:
+        if t.kind == "a":
+            x += t.exp
+        elif t.kind == "b":
+            if x <= t.exp:
+                return None
+            x -= t.exp
+        elif x == t.index:
+            return None
+    return x

@@ -12,6 +12,7 @@ from isomon.harness import (_REPORT_FAIL_CAP, INT_DEFAULT, NAT_DEFAULT, SUITES,
                             _universe, _vec, count_universe, default_specs,
                             enumerate_universe, run_selected, run_suite,
                             suite_names)
+from isomon.homs import hom_translation, hom_z2
 from isomon.jsonio import element_to_obj
 
 
@@ -237,6 +238,23 @@ def test_example_2_13_extends_each_element_and_distinct_product_once(monkeypatch
     # the identity's extension is checked once more, on its own
     assert len(calls) <= points * (len(elems) + len(distinct)) + 1
     assert points * (len(elems) + len(distinct)) + 1 < points * len(elems) ** 2
+
+
+def test_cor_2_12_composes_each_distinct_pair_of_images_once(monkeypatch):
+    spec = SMALL_BY_MONOID["nat"]
+    elems = _universe(spec)
+    images = {(hom(x), hom(y)) for hom in (hom_translation, hom_z2)
+              for x in elems for y in elems}
+    calls = []
+    compose = IntIsometry.compose
+
+    def counting(x, y):
+        calls.append((x, y))
+        return compose(x, y)
+    monkeypatch.setattr(IntIsometry, "compose", counting)
+    monkeypatch.setattr(IntIsometry, "__mul__", counting)
+    assert run_suite("cor-2.12", spec).passed
+    assert len(calls) <= len(images) < len(elems) ** 2
 
 
 def test_lemma_3_3_reports_wrong_markers(monkeypatch):

@@ -1,6 +1,10 @@
+import dataclasses
+import pickle
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from isomon import (Bicyclic, FiniteIntSet, NatIsometry, bicyclic_mul,
                     from_bicyclic, gen_a, gen_b, gen_e, is_bicyclic,
@@ -8,7 +12,7 @@ from isomon import (Bicyclic, FiniteIntSet, NatIsometry, bicyclic_mul,
 from isomon.harness import UniverseSpec, enumerate_universe
 from isomon.natmonoid import f_cover, identity, natural_le, sigma
 
-from oracles import agree_on, compose_points, nat_points
+from oracles import agree_on, compose_points, nat_is_canonical, nat_points
 
 SMALL = enumerate_universe(UniverseSpec("nat", 3, 2))
 TINY = enumerate_universe(UniverseSpec("nat", 2, 1))
@@ -50,6 +54,7 @@ def test_compose_matches_pointwise_oracle():
     for x, y in product(SMALL, repeat=2):
         expected = compose_points(nat_points(x, hi), nat_points(y, hi + 3))
         assert agree_on(x * y, expected, window)
+        assert nat_is_canonical(x * y)
         assert (x * y).shift == x.shift + y.shift
 
 
@@ -59,6 +64,7 @@ def test_inverse_matches_pointwise_oracle():
     for x in SMALL:
         inverted = {v: k for k, v in nat_points(x, hi).items()}
         assert agree_on(x.inverse(), inverted, window)
+        assert nat_is_canonical(x.inverse())
 
 
 def test_markers_examples():
@@ -89,6 +95,40 @@ def test_idempotents_and_natural_order():
     assert natural_le(NatIsometry(0, FiniteIntSet([1, 3])),
                       NatIsometry(0, FiniteIntSet([3])))
     assert not natural_le(gen_a(), identity())
+
+
+small_sets = st.sets(st.integers(1, 40), max_size=8)
+
+
+@given(st.integers(0, 40), st.integers(0, 40), small_sets, small_sets, small_sets)
+def test_natural_order_is_inclusion_of_exception_sets(k, lift, base, more_x, more_y):
+    # both exception sets start with the run 1..k, so the shift -k + lift is
+    # valid for both, and their prefixes may still differ
+    common = set(range(1, k + 1)) | base
+    x = NatIsometry(lift - k, common | more_x)
+    y = NatIsometry(lift - k, common | more_y)
+    assert natural_le(x, y) == (common | more_y <= common | more_x)
+    assert not natural_le(x, NatIsometry(lift - k + 1, common | more_x))
+
+
+def test_stored_parts_and_the_exceptions_view():
+    g = NatIsometry(-2, FiniteIntSet([1, 2, 3, 5, 9]))
+    assert (g.shift, g.prefix, g.holes) == (-2, 3, (5, 9))
+    inv = g.inverse()
+    assert (inv.shift, inv.prefix, inv.holes) == (2, 1, (3, 7))
+    assert inv.exceptions == FiniteIntSet([1, 3, 7])
+    assert inv.exceptions is inv.exceptions  # built once
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.shift = 0
+
+
+def test_elements_pickle_and_replace_through_their_public_fields():
+    g = NatIsometry(2, FiniteIntSet([1, 3]))
+    assert [f.name for f in dataclasses.fields(g)] == ["shift", "exceptions"]
+    assert dataclasses.replace(g, shift=3) == NatIsometry(3, FiniteIntSet([1, 3]))
+    assert dataclasses.replace(g, exceptions=[1, 2]) == NatIsometry(2, FiniteIntSet([1, 2]))
+    for h in (g, g.inverse(), identity()):
+        assert pickle.loads(pickle.dumps(h)) == h
 
 
 def test_e_unitarity():
