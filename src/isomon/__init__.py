@@ -2,7 +2,12 @@
 of the positive integers (nat) and of the integer line (int).
 
 All values are immutable and all operations pure, so everything here is safe
-to share across threads and to ship between processes.
+to share across threads and to ship between processes; so are the errors,
+which keep their message and fields through a pickle round trip.
+
+The package root is the algebra alone.  The verification suites live in
+``isomon.harness``, which loads numpy and multiprocessing, and the command
+line in ``isomon.cli``.
 """
 
 from .intsets import FiniteIntSet, HalfInteger, symmetry_center
@@ -16,8 +21,6 @@ from .homs import (FiniteTailMap, Witness, eps_conjugation, extend_in,
                    hom_translation, hom_z2, refute_finite_generation)
 from .words import (NotInFiltrationError, Token, Word, WordSyntaxError,
                     decompose, decompose_filtered, evaluate, format_word, parse)
-from .harness import (SuiteReport, UniverseSpec, count_universe,
-                      enumerate_universe, run_suite, suite_names)
 
 __version__ = "0.1.0"
 
@@ -32,7 +35,5 @@ __all__ = [
     "eps_conjugation", "refute_finite_generation",
     "Word", "Token", "WordSyntaxError", "NotInFiltrationError",
     "parse", "format_word", "evaluate", "decompose", "decompose_filtered",
-    "UniverseSpec", "SuiteReport", "enumerate_universe", "count_universe",
-    "run_suite", "suite_names",
     "__version__",
 ]

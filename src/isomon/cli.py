@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import harness, intmonoid, natmonoid
@@ -31,7 +32,12 @@ def _load_element(path: str):
 def _parse_exceptions(text: str) -> FiniteIntSet:
     if not text.strip():
         return FiniteIntSet()
-    return FiniteIntSet(int(part) for part in text.split(","))
+    parts = text.split(",")
+    for part in parts:
+        # int() alone would also take non-ASCII digits and underscores
+        if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", part, re.ASCII):
+            raise ValueError(f"--exceptions: {part!r} is not a decimal integer")
+    return FiniteIntSet(int(part) for part in parts)
 
 
 def _cmd_eval(args) -> int:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import multiprocessing
+import pickle
 import time
 import traceback
 from dataclasses import dataclass
@@ -50,7 +51,6 @@ from .natmonoid import (Bicyclic, NatIsometry, bicyclic_mul, from_bicyclic,
                         gen_a, gen_b, gen_e, is_bicyclic)
 from .words import decompose, decompose_filtered, evaluate, format_word, parse
 
-_CHUNK_FAIL_CAP = 200
 _REPORT_FAIL_CAP = 50
 _SCAN_BUDGET = 1 << 20  # elements per packed-scan array, or n * n if larger
 
@@ -160,7 +160,8 @@ class SuiteReport:
 
 
 class _FailLog:
-    """Ordered failure collector with a per-chunk storage cap."""
+    """Ordered failure collector; a chunk stores no more failures than a
+    report keeps, as a report's failures never reach past any chunk's cap."""
 
     def __init__(self):
         self.items: list = []
@@ -168,7 +169,7 @@ class _FailLog:
 
     def add(self, obj: dict):
         self.total += 1
-        if len(self.items) < _CHUNK_FAIL_CAP:
+        if len(self.items) < _REPORT_FAIL_CAP:
             self.items.append(obj)
 
 
@@ -727,12 +728,21 @@ class _RemoteTraceback(Exception):
 
 def _serve(conn):
     """A worker's loop: run each chunk task received and reply with
-    ``(result, None)`` or ``(None, (exception, traceback text))``; stop at None."""
+    ``(result, None)`` or ``(None, (exception, traceback text))``; stop at None.
+
+    An exception that does not survive pickling is replied as a RuntimeError
+    naming its type and message.
+    """
     while (task := conn.recv()) is not None:
         try:
             reply = _chunk_entry(task), None
         except Exception as exc:
-            reply = None, (exc, traceback.format_exc())
+            error, tb = exc, traceback.format_exc()
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                error = RuntimeError(f"{type(exc).__name__}: {exc}")
+            reply = None, (error, tb)
         conn.send(reply)
 
 

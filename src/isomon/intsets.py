@@ -68,9 +68,6 @@ class FiniteIntSet:
     def __repr__(self) -> str:
         return f"FiniteIntSet({list(self._items)!r})"
 
-    def __or__(self, other: "FiniteIntSet") -> "FiniteIntSet":
-        return FiniteIntSet(self._items + other._items)
-
     def issubset(self, other: "FiniteIntSet") -> bool:
         return set(self._items) <= set(other._items)
 

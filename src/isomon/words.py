@@ -26,9 +26,15 @@ class Token(NamedTuple):
 
 
 class WordSyntaxError(ValueError):
+    """A word that does not parse; ``offset`` is where parsing stopped."""
+
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (offset {offset})")
+        # both arguments stay in ``args``, so a pickled copy rebuilds the error
+        super().__init__(message, offset)
         self.offset = offset
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (offset {self.offset})"
 
 
 class NotInFiltrationError(ValueError):

@@ -98,6 +98,15 @@ def test_hclass(capsys):
     assert json.loads(out) == {"group": "Trivial"}
     rc, out, _ = run(capsys, "hclass", "--exceptions", "")
     assert json.loads(out) == {"group": "FullUnits"}
+    rc, out, _ = run(capsys, "hclass", "--exceptions", " -1 , +3 ")
+    assert json.loads(out) == {"group": "Z2", "center": {"doubled": 2}}
+
+
+@pytest.mark.parametrize("text", ["\u0661,\u0662", "1_0, 3", "3\u00a0", "1,,3"])
+def test_hclass_refuses_non_decimal_exceptions(capsys, text):
+    rc, out, err = run(capsys, "hclass", "--exceptions", text)
+    assert rc == 1 and out == ""
+    assert err.startswith("isomon: --exceptions:")
 
 
 def test_order(capsys):

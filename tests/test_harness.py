@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import multiprocessing
+import threading
 from itertools import product
 
 import numpy as np
@@ -14,6 +15,7 @@ from isomon.harness import (_REPORT_FAIL_CAP, INT_DEFAULT, NAT_DEFAULT, SUITES,
                             suite_names)
 from isomon.homs import hom_translation, hom_z2
 from isomon.jsonio import element_to_obj
+from isomon.words import WordSyntaxError
 
 
 def naive_nat_count(B, S):
@@ -325,6 +327,36 @@ def test_worker_failures_propagate(monkeypatch):
             run_selected(names, jobs=2)
     assert not multiprocessing.active_children()
     assert [r.to_obj() for r in run_selected(names, jobs=2)] == expected
+
+
+def test_worker_word_syntax_errors_arrive_intact(monkeypatch):
+    def failing(text):
+        raise WordSyntaxError("forced", 3)
+
+    monkeypatch.setattr(harness, "parse", failing)
+    with pytest.raises(WordSyntaxError) as err:
+        run_suite("decompose-roundtrip", UniverseSpec("nat", 2, 1), jobs=2)
+    assert str(err.value) == "forced (offset 3)" and err.value.offset == 3
+    assert not multiprocessing.active_children()
+
+
+class _LockHolder(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+def test_worker_errors_that_cannot_be_pickled_name_their_type(monkeypatch):
+    def failing(spec, lo, hi, log, counters):
+        raise _LockHolder(f"chunk from {lo}")
+
+    monkeypatch.setitem(SUITES, "filtration",
+                        dataclasses.replace(SUITES["filtration"], chunk=failing))
+    with pytest.raises(RuntimeError, match="^_LockHolder: chunk from 0$") as err:
+        run_selected(["filtration"], jobs=2)
+    assert "_LockHolder" in str(err.value.__cause__)
+    assert "Traceback" in str(err.value.__cause__)
+    assert not multiprocessing.active_children()
 
 
 def test_product_rows_are_the_interned_products():
