@@ -1,8 +1,13 @@
-"""Command line interface (installed as ``isomon``)."""
+"""Command line interface (installed as ``isomon``).
+
+``main`` builds its argument parser on its first call and reuses it for
+every later call in the same process.
+"""
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -29,15 +34,25 @@ def _load_element(path: str):
         return element_from_obj(json.load(fh))
 
 
+def _decimal(text: str) -> int:
+    """An ASCII decimal integer, with optional sign and surrounding ASCII whitespace."""
+    # int() alone would also take non-ASCII digits and underscores
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text, re.ASCII):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_exceptions(text: str) -> FiniteIntSet:
     if not text.strip():
         return FiniteIntSet()
-    parts = text.split(",")
-    for part in parts:
-        # int() alone would also take non-ASCII digits and underscores
-        if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", part, re.ASCII):
-            raise ValueError(f"--exceptions: {part!r} is not a decimal integer")
-    return FiniteIntSet(int(part) for part in parts)
+    values = []
+    for part in text.split(","):
+        try:
+            values.append(_decimal(part))
+        except argparse.ArgumentTypeError:
+            raise ValueError(
+                f"--exceptions: {part!r} is not a decimal integer") from None
+    return FiniteIntSet(values)
 
 
 def _cmd_eval(args) -> int:
@@ -145,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compose)
 
     p = sub.add_parser("decompose", help="write a nat element as a word")
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=_decimal, default=None,
                    help="restrict the alphabet to a, b, e[k]")
     p.add_argument("element", help="path to an element JSON file")
     p.set_defaults(func=_cmd_decompose)
@@ -160,12 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hclass)
 
     p = sub.add_parser("order", help="order of an isometry of the integer line")
-    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--a", type=_decimal, required=True)
     p.add_argument("--reflect", action="store_true")
     p.set_defaults(func=_cmd_order)
 
     p = sub.add_parser("extend", help="extend a nat element to the integer line")
-    p.add_argument("--n", type=int, default=0,
+    p.add_argument("--n", type=_decimal, default=0,
                    help="identity tail covers all x <= n (n must be <= 0)")
     p.add_argument("element", help="path to an element JSON file")
     p.set_defaults(func=_cmd_extend)
@@ -179,11 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", action="append", choices=harness.suite_names(),
                    help="suite to run (repeatable); default is all")
     p.add_argument("--all", action="store_true", help="run every suite")
-    p.add_argument("--bound", type=int, default=None,
+    p.add_argument("--bound", type=_decimal, default=None,
                    help="override the exception bound")
-    p.add_argument("--shift-bound", type=int, default=None,
+    p.add_argument("--shift-bound", type=_decimal, default=None,
                    help="override the shift bound")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_decimal, default=1,
                    help="worker processes (at most the CPU count)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_check)
@@ -191,8 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # safe to share: parse_args writes only to the namespace it returns
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as err:

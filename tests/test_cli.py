@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from isomon import cli
 from isomon.cli import _worker_count, main
 
 
@@ -100,6 +101,9 @@ def test_hclass(capsys):
     assert json.loads(out) == {"group": "FullUnits"}
     rc, out, _ = run(capsys, "hclass", "--exceptions", " -1 , +3 ")
     assert json.loads(out) == {"group": "Z2", "center": {"doubled": 2}}
+    # a leading "-" would be read as an option; the "=" form keeps it a value
+    rc, out, _ = run(capsys, "hclass", "--exceptions=-1,3")
+    assert rc == 0 and json.loads(out) == {"group": "Z2", "center": {"doubled": 2}}
 
 
 @pytest.mark.parametrize("text", ["\u0661,\u0662", "1_0, 3", "3\u00a0", "1,,3"])
@@ -109,6 +113,24 @@ def test_hclass_refuses_non_decimal_exceptions(capsys, text):
     assert err.startswith("isomon: --exceptions:")
 
 
+@pytest.mark.parametrize("text", ["\u0663", "1_0", "\uff13", "3\u00a0"])
+@pytest.mark.parametrize("argv", [
+    ("order", "--a", "{}"),
+    ("decompose", "--k", "{}", "{elem}"),
+    ("extend", "--n", "{}", "{elem}"),
+    ("check", "--suite", "refute-fg", "--bound", "{}"),
+    ("check", "--suite", "refute-fg", "--shift-bound", "{}"),
+    ("check", "--suite", "refute-fg", "--jobs", "{}"),
+], ids=["a", "k", "n", "bound", "shift-bound", "jobs"])
+def test_integer_options_take_only_ascii_decimals(tmp_path, capsys, argv, text):
+    elem = write_element(tmp_path, "g.json", {"kind": "nat", "shift": 0, "exceptions": []})
+    with pytest.raises(SystemExit) as err:
+        main([arg.format(text, elem=elem) for arg in argv])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"invalid int value: {text!r}" in captured.err
+
+
 def test_order(capsys):
     rc, out, _ = run(capsys, "order", "--a", "3", "--reflect")
     assert rc == 0 and out.strip() == "2"
@@ -116,6 +138,8 @@ def test_order(capsys):
     assert out.strip() == "infinite"
     rc, out, _ = run(capsys, "order", "--a", "0")
     assert out.strip() == "1"
+    rc, out, _ = run(capsys, "order", "--a", " +3\t", "--reflect")
+    assert rc == 0 and out.strip() == "2"
 
 
 def test_extend(tmp_path, capsys):
@@ -201,3 +225,40 @@ def test_check_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit) as err:
         main(["check", "--suite", "nope"])
     assert err.value.code == 2
+
+
+def _outcome(capsys, argv):
+    try:
+        rc = main(argv)
+    except SystemExit as exit_:
+        rc = exit_.code
+    return rc, capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(monkeypatch, capsys):
+    calls = [
+        ["eval", "e[3] b a^3"],
+        ["check", "--suite", "lemma-3.3", "--bound", "3", "--shift-bound", "1",
+         "--format", "json"],
+        ["order", "--a", "3", "--reflect"],
+        ["check", "--suite", "refute-fg", "--jobs", "0"],
+        ["check", "--suite", "nope"],
+        ["hclass", "--exceptions", "0,3"],
+        ["check", "--suite", "bicyclic-oracle", "--format", "json"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    reused = [_outcome(capsys, argv) for argv in calls]
+    cli._parser.cache_clear()
+
+    assert len(built) == 1
+    assert reused == fresh
+    assert [rc for rc, _ in reused] == [0, 0, 0, 1, 2, 0, 0]
+    assert [r["suite"] for r in json.loads(reused[-1][1])] == ["bicyclic-oracle"]

@@ -1,3 +1,4 @@
+import doctest
 import os
 import subprocess
 import sys
@@ -15,3 +16,9 @@ def test_import_isomon_loads_only_the_algebra():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_examples_run():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.attempted > 0 and result.failed == 0
