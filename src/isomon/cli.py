@@ -108,6 +108,8 @@ def _cmd_extend(args) -> int:
 def _cmd_refute_fg(args) -> int:
     with open(args.generators, encoding="utf-8") as fh:
         objs = json.load(fh)
+    if not isinstance(objs, list):
+        raise ValueError("generators file must hold a JSON array of elements")
     gens = [element_from_obj(obj) for obj in objs]
     if not all(isinstance(g, NatIsometry) for g in gens):
         raise ValueError("generators must all be nat elements")

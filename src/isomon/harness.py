@@ -6,14 +6,15 @@ exception sets, ...) and reports a deterministic count plus any
 counterexamples; reports are byte-stable across runs and across worker
 counts, so two runs of ``isomon check --all --format json`` are identical.
 
-Suites shard their instance space over contiguous chunks of an outer index.
-With ``--jobs`` above 1, one set of worker processes lives for the whole
+A suite is a sequence of instances plus a check that yields one item per
+instance, None or the whole failure.  ``_each`` scans any such sequence, the
+universe's elements by default; ``_pairwise`` scans the universe's pairs, with
+two options, ``each`` and ``row``.  Only the packed ``assoc`` scan is its own.
+
+Suites shard their instance sequence over contiguous chunks.  With
+``--jobs`` above 1, one set of worker processes lives for the whole
 ``check`` run, and chunk c of every suite runs on worker c; the merge is
 order-preserving, which is the only synchronization point.
-
-Elements and pairs are scanned by two helpers, ``_each`` and ``_pairwise``.
-A check yields one item per instance it checks: None when it holds, else the
-failure's fields, so one element or pair may carry several instances.
 
 Every suite that composes pairs reads them from one product table per
 universe and process (``_products``): row i holds ``elems[i] * y`` for every
@@ -30,12 +31,13 @@ from __future__ import annotations
 import contextlib
 import itertools
 import multiprocessing
+import operator
 import pickle
 import time
 import traceback
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from functools import lru_cache, reduce
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -85,15 +87,18 @@ def enumerate_universe(spec: UniverseSpec) -> list:
                 except ValueError:
                     continue
     else:
-        offsets = range(-B, B + 1)
-        width = 2 * B + 1
+        sets = _window_sets(B)
         for a in range(-S, S + 1):
             for reflect in (False, True):
-                for mask in range(1 << width):
-                    exc = FiniteIntSet(o for b, o in enumerate(offsets)
-                                       if mask >> b & 1)
-                    out.append(IntIsometry(ZIsometry(a, reflect), exc))
+                out.extend(IntIsometry(ZIsometry(a, reflect), exc) for exc in sets)
     return out
+
+
+def _window_sets(B: int) -> list:
+    """Every subset of -B..B, in the order of its bitmask over the window."""
+    offsets = range(-B, B + 1)
+    return [FiniteIntSet(o for b, o in enumerate(offsets) if mask >> b & 1)
+            for mask in range(1 << (2 * B + 1))]
 
 
 def count_universe(spec: UniverseSpec) -> int:
@@ -172,6 +177,14 @@ class _FailLog:
         if len(self.items) < _REPORT_FAIL_CAP:
             self.items.append(obj)
 
+    def scan(self, items) -> int:
+        n = 0
+        for failure in items:
+            n += 1
+            if failure is not None:
+                self.add(failure)
+        return n
+
 
 # ---------------------------------------------------------------------------
 # Vectorized element encoding for the associativity scan.
@@ -193,9 +206,25 @@ def _shift_bits(m, k):
 
 
 class _Vec:
+    """A packed encoding: ``parts(e)``, the ints of one element with the
+    exception mask last, and ``layout``, which packs them (or arrays) into keys."""
+
     @property
     def dtype(self):
         return np.int64 if self.key_bits <= 63 else object
+
+    def pack(self, elems):
+        return tuple(np.array(col, dtype=self.dtype)
+                     for col in zip(*map(self.parts, elems)))
+
+    def key(self, t):
+        if np.any(t[-1] >> self.width):
+            raise AssertionError("exception mask escaped its window")
+        return self.layout(t)
+
+    def obj_key(self, e) -> int:
+        # unchecked, so a product with a hole outside the window mismatches
+        return self.layout(self.parts(e))
 
 
 class _NatVec(_Vec):
@@ -204,28 +233,18 @@ class _NatVec(_Vec):
         self.koff = 3 * spec.shift_bound + 1
         self.key_bits = self.width + (2 * self.koff).bit_length()
 
-    def pack(self, elems):
-        return (np.array([e.shift for e in elems], dtype=self.dtype),
-                np.array([self._mask(e) for e in elems], dtype=self.dtype))
+    def parts(self, e: NatIsometry) -> tuple:
+        return e.shift, sum(1 << (x - 1) for x in e.exceptions)
 
-    @staticmethod
-    def _mask(e: NatIsometry) -> int:
-        return sum(1 << (x - 1) for x in e.exceptions)
+    def layout(self, t):
+        s, m = t
+        return (s + self.koff) << self.width | m
 
     def compose(self, t1, t2):
         s1, m1 = t1
         s2, m2 = t2
         # preimages below 1 fall off the low end of the mask, as they should
         return s1 + s2, m1 | _shift_bits(m2, -s1)
-
-    def key(self, t):
-        s, m = t
-        if np.any(m >> self.width):
-            raise AssertionError("exception mask escaped its window")
-        return (s + self.koff) << self.width | m
-
-    def obj_key(self, e: NatIsometry) -> int:
-        return (e.shift + self.koff) << self.width | self._mask(e)
 
     def decode(self, key: int) -> NatIsometry:
         m = key & ((1 << self.width) - 1)
@@ -241,13 +260,13 @@ class _IntVec(_Vec):
         self.koff = 3 * spec.shift_bound + 1
         self.key_bits = self.width + 1 + (2 * self.koff).bit_length()
 
-    def pack(self, elems):
-        return (np.array([e.unit.a for e in elems], dtype=self.dtype),
-                np.array([int(e.unit.reflect) for e in elems], dtype=self.dtype),
-                np.array([self._mask(e) for e in elems], dtype=self.dtype))
+    def parts(self, e: IntIsometry) -> tuple:
+        return (e.unit.a, int(e.unit.reflect),
+                sum(1 << (x + self.radius) for x in e.exceptions))
 
-    def _mask(self, e: IntIsometry) -> int:
-        return sum(1 << (x + self.radius) for x in e.exceptions)
+    def layout(self, t):
+        a, r, m = t
+        return ((a + self.koff) << (self.width + 1)) | (r << self.width) | m
 
     def _mirror(self, m):
         # bit b -> bit width-1-b: the window reflected about 0
@@ -266,16 +285,6 @@ class _IntVec(_Vec):
                        _shift_bits(m2, -a1))
         return a, r, m1 | pre
 
-    def key(self, t):
-        a, r, m = t
-        if np.any(m >> self.width):
-            raise AssertionError("exception mask escaped its window")
-        return ((a + self.koff) << (self.width + 1)) | (r << self.width) | m
-
-    def obj_key(self, e: IntIsometry) -> int:
-        a, r = e.unit.a, int(e.unit.reflect)
-        return ((a + self.koff) << (self.width + 1)) | (r << self.width) | self._mask(e)
-
     def decode(self, key: int) -> IntIsometry:
         m = key & ((1 << self.width) - 1)
         r = (key >> self.width) & 1
@@ -290,9 +299,10 @@ def _vec(spec: UniverseSpec):
 
 
 # ---------------------------------------------------------------------------
-# Suite chunk functions.  Each scans outer indices [lo, hi) of its instance
-# space, adds failures to ``log`` and counts to ``counters`` (whose keys the
-# suite declares), and returns the number of instances it checked.
+# Suite chunk functions.  ``chunk(spec, instances, lo, hi, log, counters)``
+# scans ``instances[lo:hi]``, adds failures to ``log`` and counts to
+# ``counters`` (whose keys the suite declares), and returns the number of
+# instances it checked.
 
 
 def _objs(*elems) -> list:
@@ -312,46 +322,32 @@ def _memo(f):
 
 
 def _each(check):
-    """Chunk over single elements.  ``check(g)`` yields one item per instance
-    it checks: None, or the failure's fields besides ``input``."""
-    def chunk(spec, lo, hi, log, counters):
-        n = 0
-        for g in _universe(spec)[lo:hi]:
-            for fields in check(g):
-                n += 1
-                if fields is not None:
-                    log.add({"input": element_to_obj(g), **fields})
-        return n
+    """Chunk over the instances themselves: ``check(item, counters)`` yields
+    one item per instance it checks, None or the whole failure."""
+    def chunk(spec, instances, lo, hi, log, counters):
+        return sum(log.scan(check(item, counters)) for item in instances[lo:hi])
     return chunk
 
 
-def _pairwise(check, left=None, right=None, each=None, row=None):
-    """Chunk over pairs (x, y) with x in rows [lo, hi); ``left`` and ``right``
-    restrict either factor.  ``check(x, y, p, counters)``, with p = x * y from
-    the product table, yields one item per instance it checks: None, or the
-    failure's fields besides ``inputs``.  With ``each``, it gets ``each(x)``,
-    ``each(y)`` and ``each(p)`` instead, computed once per element and once
-    per distinct product in a chunk.  ``row(i, x, each(x), counters)`` yields
-    row i's own items, failures whole, before its pairs."""
-    def chunk(spec, lo, hi, log, counters):
-        elems = _universe(spec)
+def _pairwise(check, each=None, row=None):
+    """Chunk over pairs (x, y) of universe elements with x in rows [lo, hi).
+    ``check(x, y, p, counters)``, with p = x * y from the product table,
+    yields one item per instance it checks: None, or the failure's fields
+    besides ``inputs``.  With ``each``, it gets ``each(x)``, ``each(y)`` and
+    ``each(p)`` instead, computed once per element and once per distinct
+    product in a chunk.  ``row(i, x, each(x), counters)`` yields row i's own
+    items, failures whole, before its pairs."""
+    def chunk(spec, elems, lo, hi, log, counters):
         value = None if each is None else _memo(each)
         vals = elems if value is None else [value(e) for e in elems]
-        cols = [j for j, y in enumerate(elems) if right is None or right(y)]
         n = 0
         for i in range(lo, hi):
             x, xv = elems[i], vals[i]
             if row is not None:
-                for failure in row(i, x, xv, counters):
-                    n += 1
-                    if failure is not None:
-                        log.add(failure)
-            if left is not None and not left(x):
-                continue
-            prods = _products(spec, i)
-            for j in cols:
-                p = prods[j] if value is None else value(prods[j])
-                for fields in check(xv, vals[j], p, counters):
+                n += log.scan(row(i, x, xv, counters))
+            for j, p in enumerate(_products(spec, i)):
+                for fields in check(xv, vals[j], p if value is None else value(p),
+                                    counters):
                     n += 1
                     if fields is not None:
                         log.add({"inputs": _objs(x, elems[j]), **fields})
@@ -359,8 +355,7 @@ def _pairwise(check, left=None, right=None, each=None, row=None):
     return chunk
 
 
-def _assoc_chunk(spec, lo, hi, log, counters):
-    elems = _universe(spec)
+def _assoc_chunk(spec, elems, lo, hi, log, counters):
     n = len(elems)
     vec = _vec(spec)
     arrays = vec.pack(elems)
@@ -405,10 +400,10 @@ def _assoc_chunk(spec, lo, hi, log, counters):
     return (hi - lo) * n * n
 
 
-def _inverse_check(g):
+def _inverse_check(g, counters):
     gi = g.inverse()
     ok = g * gi * g == g and gi * g * gi == gi
-    yield None if ok else {"inverse": element_to_obj(gi)}
+    yield None if ok else {"input": element_to_obj(g), "inverse": element_to_obj(gi)}
 
 
 def _lemma21_check(x, y, p, counters):
@@ -424,55 +419,52 @@ def _prop22_check(x, y, p, counters):
     yield {} if p == _INT_IDENTITY and (x.deficiency or y.deficiency) else None
 
 
-def _lemma29_chunk(spec, lo, hi, log, counters):
-    B = spec.exception_bound
-    offsets = list(range(-B, B + 1))
-    for mask in range(lo, hi):
-        exc = FiniteIntSet(o for b, o in enumerate(offsets) if mask >> b & 1)
-        kind = hclass_group(exc)
-        counters[kind.value] += 1
-        if not exc:
-            ok = kind is HClassKind.FULL_UNITS
-            try:
-                restriction_isometries(exc)
-                ok = False
-            except FullUnitsError:
-                pass
-            if not ok:
-                log.add({"exceptions": [], "got": kind.value})
-            continue
-        impl = restriction_isometries(exc)
-        bound = 2 * max(abs(exc.min()), abs(exc.max())) + 2
-        points = set(exc)
-        brute = [IntIsometry(u, exc)
-                 for a in range(-bound, bound + 1)
-                 for u in (ZIsometry(a), ZIsometry(a, True))
-                 if {u.apply(x) for x in points} == points]
-        sized = {HClassKind.FULL_UNITS: None, HClassKind.Z2: 2,
-                 HClassKind.TRIVIAL: 1}[kind]
-        if set(impl) != set(brute) or len(impl) != sized:
-            log.add({"exceptions": list(exc),
-                     "impl": _objs(*impl),
-                     "brute": _objs(*sorted(
-                         brute, key=lambda e: (e.unit.a, e.unit.reflect))),
-                     "hclass": kind.value})
-    return hi - lo
+def _lemma29_check(exc, counters):
+    kind = hclass_group(exc)
+    counters[kind.value] += 1
+    if not exc:
+        ok = kind is HClassKind.FULL_UNITS
+        try:
+            restriction_isometries(exc)
+            ok = False
+        except FullUnitsError:
+            pass
+        yield None if ok else {"exceptions": [], "got": kind.value}
+        return
+    impl = restriction_isometries(exc)
+    bound = 2 * max(abs(exc.min()), abs(exc.max())) + 2
+    points = set(exc)
+    brute = [IntIsometry(u, exc)
+             for a in range(-bound, bound + 1)
+             for u in (ZIsometry(a), ZIsometry(a, True))
+             if {u.apply(x) for x in points} == points]
+    sized = {HClassKind.FULL_UNITS: None, HClassKind.Z2: 2,
+             HClassKind.TRIVIAL: 1}[kind]
+    ok = set(impl) == set(brute) and len(impl) == sized
+    yield None if ok else {
+        "exceptions": list(exc),
+        "impl": _objs(*impl),
+        "brute": _objs(*sorted(brute, key=lambda e: (e.unit.a, e.unit.reflect))),
+        "hclass": kind.value}
 
 
-def _lemma33_check(g):
+def _lemma33_check(g, counters):
     m = g.markers()
-    yield None if m.nr_high - m.nr_low == m.nd_high - m.nd_low else {"markers": list(m)}
+    ok = m.nr_high - m.nr_low == m.nd_high - m.nd_low
+    yield None if ok else {"input": element_to_obj(g), "markers": list(m)}
 
 
-# Lemmas 3.4 and 3.5 see the gaps of the factors and the product; the
-# tail-defined factor g is chosen by the suite's filter, and d's gap bounds
-# the product's
+# Lemmas 3.4 and 3.5 see the gaps of the factors and the product.  Only pairs
+# whose tail-defined factor g (gap 0, that is bicyclic) is on the lemma's side
+# are instances, and d's gap bounds the product's
 def _lemma34_check(g_gap, d_gap, p_gap, counters):
-    yield None if p_gap <= d_gap else {"got": p_gap, "bound": d_gap}
+    if g_gap == 0:
+        yield None if p_gap <= d_gap else {"got": p_gap, "bound": d_gap}
 
 
 def _lemma35_check(d_gap, g_gap, p_gap, counters):
-    yield None if p_gap <= d_gap else {"got": p_gap, "bound": d_gap}
+    if g_gap == 0:
+        yield None if p_gap <= d_gap else {"got": p_gap, "bound": d_gap}
 
 
 _MARKER_CASES = {(True, True): "case1", (False, True): "case2",
@@ -495,17 +487,16 @@ def _lemma36_check(gv, dv, pv, counters):
         yield {"k": k, "got": p_gap} if p_gap > k else None
 
 
-def _filtration_chunk(spec, lo, hi, log, counters):
-    elems = _universe(spec)
+def _filtration_instances(spec):
     top = spec.exception_bound + spec.shift_bound + 2
-    for i in range(lo, hi):
-        g = elems[i]
-        chain = all(not g.in_filtration(k) or g.in_filtration(k + 1)
-                    for k in range(top))
-        base = g.in_filtration(0) == g.in_filtration(1) == is_bicyclic(g)
-        if not (chain and base):
-            log.add({"input": element_to_obj(g), "gap": g.gap()})
-    return hi - lo
+    return [(g, top) for g in _universe(spec)]
+
+
+def _filtration_check(instance, counters):
+    g, top = instance
+    chain = all(not g.in_filtration(k) or g.in_filtration(k + 1) for k in range(top))
+    base = g.in_filtration(0) == g.in_filtration(1) == is_bicyclic(g)
+    yield None if chain and base else {"input": element_to_obj(g), "gap": g.gap()}
 
 
 def _sigma_check(x, y, p, counters):
@@ -516,38 +507,36 @@ def _sigma_check(x, y, p, counters):
     yield None if ok else {}
 
 
-def _roundtrip_check(g):
+def _roundtrip_check(g, counters):
     w = decompose(g)
     if evaluate(w) != g:
-        yield {"word": format_word(w), "evaluates_to": element_to_obj(evaluate(w))}
+        yield {"input": element_to_obj(g), "word": format_word(w),
+               "evaluates_to": element_to_obj(evaluate(w))}
     elif parse(format_word(w)) != w:
-        yield {"word": format_word(w), "check": "parse/print round-trip"}
+        yield {"input": element_to_obj(g), "word": format_word(w),
+               "check": "parse/print round-trip"}
     else:
         yield None
 
 
-def _filtered_check(g):
+def _filtered_check(g, counters):
     # one instance per k = 2..4 that bounds g's gap
     for k in range(max(2, g.gap()), 5):
         w = decompose_filtered(g, k)
-        alphabet_ok = all(t.kind in ("a", "b") or t.index == k for t in w.tokens)
-        if evaluate(w) == g and alphabet_ok:
-            yield None
-        else:
-            yield {"k": k, "word": format_word(w),
-                   "evaluates_to": element_to_obj(evaluate(w))}
+        ok = evaluate(w) == g and all(t.kind in ("a", "b") or t.index == k
+                                      for t in w.tokens)
+        yield None if ok else {"input": element_to_obj(g), "k": k,
+                               "word": format_word(w),
+                               "evaluates_to": element_to_obj(evaluate(w))}
 
 
 _CONJUGATION_PAIRS = [(k, l) for k in range(3, 13) for l in range(2, k)]
 
 
-def _conjugation_chunk(spec, lo, hi, log, counters):
-    for idx in range(lo, hi):
-        k, l = _CONJUGATION_PAIRS[idx]
-        got = eps_conjugation(k, l)
-        if got != gen_e(l):
-            log.add({"k": k, "l": l, "got": element_to_obj(got)})
-    return hi - lo
+def _conjugation_check(pair, counters):
+    k, l = pair
+    got = eps_conjugation(k, l)
+    yield None if got == gen_e(l) else {"k": k, "l": l, "got": element_to_obj(got)}
 
 
 _EXTENSION_POINTS = (0, -1, -2)
@@ -601,56 +590,41 @@ def _cor212_finalize(spec, counters):
              "counters": dict(sorted(counters.items()))}]
 
 
-_BICYCLIC_BOUND = 7  # exponents 0..6
+# exponents (k, l, m, n) of the pairs b^k a^l, b^m a^n, each in 0..6
+_BICYCLIC_EXPONENTS = list(itertools.product(range(7), repeat=4))
 
 
-def _bicyclic_chunk(spec, lo, hi, log, counters):
-    base = _BICYCLIC_BOUND
-    for idx in range(lo, hi):
-        rest, n = divmod(idx, base)
-        rest, m = divmod(rest, base)
-        k, l = divmod(rest, base)
-        u, v = Bicyclic(k, l), Bicyclic(m, n)
-        got = from_bicyclic(bicyclic_mul(u, v))
-        expect = from_bicyclic(u) * from_bicyclic(v)
-        if got != expect:
-            log.add({"inputs": [[k, l], [m, n]],
-                     "normal_form": element_to_obj(got),
-                     "composed": element_to_obj(expect)})
-    return hi - lo
+def _bicyclic_check(exponents, counters):
+    k, l, m, n = exponents
+    u, v = Bicyclic(k, l), Bicyclic(m, n)
+    got = from_bicyclic(bicyclic_mul(u, v))
+    expect = from_bicyclic(u) * from_bicyclic(v)
+    yield None if got == expect else {"inputs": [[k, l], [m, n]],
+                                      "normal_form": element_to_obj(got),
+                                      "composed": element_to_obj(expect)}
 
 
 _REFUTE_DEPTH = 4
 
 
-def _refute_chunk(spec, lo, hi, log, counters):
-    gens = [gen_a(), gen_b(), gen_e(2), gen_e(3)]
+def _refute_check(gens, counters):
+    # one instance for the witness, then one per product of up to
+    # _REFUTE_DEPTH generators, none of which may reach it
     w = refute_finite_generation(gens)
     expected = NatIsometry(0, FiniteIntSet([2, 3, 4]))
-    n = 1
-    if (w.element != expected or w.certificate != 4
-            or w.element.gap() != w.certificate
-            or w.certificate != w.bound_k + 1):
-        log.add({"witness": element_to_obj(w.element),
-                 "bound_k": w.bound_k, "certificate": w.certificate})
+    ok = (w.element == expected and w.certificate == 4
+          and w.element.gap() == w.certificate == w.bound_k + 1)
+    yield None if ok else {"witness": element_to_obj(w.element),
+                           "bound_k": w.bound_k, "certificate": w.certificate}
     for length in range(1, _REFUTE_DEPTH + 1):
         for combo in itertools.product(gens, repeat=length):
-            prod = combo[0]
-            for g in combo[1:]:
-                prod = prod * g
             counters["products_checked"] += 1
-            n += 1
-            if prod == w.element:
-                log.add({"factors": _objs(*combo)})
-    return n
+            prod = reduce(operator.mul, combo)
+            yield {"factors": _objs(*combo)} if prod == w.element else None
 
 
 # ---------------------------------------------------------------------------
 # Registry and the runner.
-
-
-def _universe_size(spec):
-    return len(_universe(spec))
 
 
 @dataclass(frozen=True)
@@ -658,7 +632,7 @@ class _Suite:
     defaults: tuple[UniverseSpec, ...]
     chunk: Callable
     counters: tuple[str, ...] = ()
-    size: Callable[[UniverseSpec], int] = _universe_size
+    instances: Callable[[UniverseSpec], Sequence] = _universe
     finalize: Callable | None = None
 
     @property
@@ -675,31 +649,30 @@ SUITES: dict[str, _Suite] = {
     "inverse-axioms": _Suite(_BOTH, _each(_inverse_check)),
     "lemma-2.1": _Suite(_INT, _pairwise(_lemma21_check)),
     "prop-2.2": _Suite(_INT, _pairwise(_prop22_check)),
-    "lemma-2.9-oracle": _Suite((UniverseSpec("int", 4, 2),), _lemma29_chunk,
+    "lemma-2.9-oracle": _Suite((UniverseSpec("int", 4, 2),), _each(_lemma29_check),
                                ("Trivial", "Z2", "FullUnits"),
-                               size=lambda spec: 1 << (2 * spec.exception_bound + 1)),
+                               lambda spec: _window_sets(spec.exception_bound)),
     "lemma-3.3": _Suite(_NAT, _each(_lemma33_check)),
-    "lemma-3.4": _Suite(_NAT, _pairwise(_lemma34_check, left=is_bicyclic,
-                                        each=NatIsometry.gap)),
-    "lemma-3.5": _Suite(_NAT, _pairwise(_lemma35_check, right=is_bicyclic,
-                                        each=NatIsometry.gap)),
+    "lemma-3.4": _Suite(_NAT, _pairwise(_lemma34_check, each=NatIsometry.gap)),
+    "lemma-3.5": _Suite(_NAT, _pairwise(_lemma35_check, each=NatIsometry.gap)),
     "lemma-3.6": _Suite(_NAT, _pairwise(_lemma36_check, each=_lemma36_values),
                         ("case1", "case2", "case3", "case4")),
-    "filtration": _Suite(_NAT, _filtration_chunk),
+    "filtration": _Suite(_NAT, _each(_filtration_check),
+                         instances=_filtration_instances),
     "sigma-hom": _Suite(_BOTH, _pairwise(_sigma_check)),
     "decompose-roundtrip": _Suite(_NAT, _each(_roundtrip_check)),
     "decompose-filtered": _Suite(_NAT, _each(_filtered_check)),
-    "remark-3.9": _Suite(_NAT, _conjugation_chunk,
-                         size=lambda spec: len(_CONJUGATION_PAIRS)),
+    "remark-3.9": _Suite(_NAT, _each(_conjugation_check),
+                         instances=lambda spec: _CONJUGATION_PAIRS),
     "example-2.13": _Suite(_NAT, _pairwise(_extension_check, each=_extensions,
                                            row=_extension_row)),
     "cor-2.12": _Suite(_NAT, _pairwise(_cor212_check, each=_cor212_homs,
                                        row=_cor212_row),
                        ("z2_identities", "z2_reflections"), finalize=_cor212_finalize),
-    "bicyclic-oracle": _Suite(_NAT, _bicyclic_chunk,
-                              size=lambda spec: _BICYCLIC_BOUND ** 4),
-    "refute-fg": _Suite(_NAT, _refute_chunk, ("products_checked",),
-                        size=lambda spec: 1),
+    "bicyclic-oracle": _Suite(_NAT, _each(_bicyclic_check),
+                              instances=lambda spec: _BICYCLIC_EXPONENTS),
+    "refute-fg": _Suite(_NAT, _each(_refute_check), ("products_checked",),
+                        lambda spec: [(gen_a(), gen_b(), gen_e(2), gen_e(3))]),
 }
 
 
@@ -718,7 +691,7 @@ def _chunk_entry(args):
     suite = SUITES[name]
     log = _FailLog()
     counters = dict.fromkeys(suite.counters, 0)
-    instances = suite.chunk(spec, lo, hi, log, counters)
+    instances = suite.chunk(spec, suite.instances(spec), lo, hi, log, counters)
     return instances, log.items, log.total, counters
 
 
@@ -806,7 +779,7 @@ def run_suite(name: str, spec: UniverseSpec, jobs: int = 1) -> SuiteReport:
     if spec.monoid not in suite.monoids:
         raise ValueError(f"suite {name!r} does not apply to the {spec.monoid} monoid")
     start = time.perf_counter()
-    total = suite.size(spec)
+    total = len(suite.instances(spec))
     parts_count = max(1, min(jobs, total))
     tasks = [(name, spec, total * c // parts_count, total * (c + 1) // parts_count)
              for c in range(parts_count)]

@@ -6,10 +6,14 @@ exhaustive scans, so they sit well inside them.
 import json
 import time
 from itertools import product
+from pathlib import Path
 
 from isomon import ZIsometry, gen_a, gen_b, gen_e, refute_finite_generation
 from isomon.cli import main
 from isomon.harness import (INT_DEFAULT, NAT_DEFAULT, UniverseSpec, run_suite)
+
+REFERENCE_REPORT = (Path(__file__).parent.parent / "perfbench" / "reference"
+                    / "check_all.json")
 
 
 def _stamp(name, start, limit):
@@ -143,6 +147,8 @@ def test_criterion_12_byte_identical_reports(capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1], "consecutive runs differ"
     assert outputs[0] == outputs[2], "jobs>1 changed the report"
+    assert outputs[0] == REFERENCE_REPORT.read_text(encoding="utf-8"), \
+        "the report differs from the committed reference"
     reports = json.loads(outputs[0])
     assert all(r["pass"] for r in reports)
     assert len(reports) == 21

@@ -167,6 +167,17 @@ def test_refute_fg(tmp_path, capsys):
         "bound_k": 3, "certificate": 4}
 
 
+@pytest.mark.parametrize("content", [
+    5, None, {"kind": "nat", "shift": 1, "exceptions": []},
+], ids=["int", "null", "element"])
+def test_refute_fg_rejects_a_file_that_is_not_a_list(tmp_path, capsys, content):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps(content))
+    rc, out, err = run(capsys, "refute-fg", str(gens))
+    assert rc == 1 and out == ""
+    assert err == "isomon: generators file must hold a JSON array of elements\n"
+
+
 def test_missing_file(capsys):
     rc, _, err = run(capsys, "sigma", "/nonexistent/g.json")
     assert rc == 1 and err

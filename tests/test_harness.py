@@ -15,6 +15,7 @@ from isomon.harness import (_REPORT_FAIL_CAP, INT_DEFAULT, NAT_DEFAULT, SUITES,
                             suite_names)
 from isomon.homs import hom_translation, hom_z2
 from isomon.jsonio import element_to_obj
+from isomon.natmonoid import is_bicyclic
 from isomon.words import WordSyntaxError
 
 
@@ -199,6 +200,7 @@ def _left_factor(compose):
 
 
 WRONG_COMPOSE = {  # suite: (fault, fields of each failure)
+    "assoc": (_far_hole, {"inputs", "check"}),
     "inverse-axioms": (_far_hole, {"input", "inverse"}),
     "decompose-roundtrip": (_far_hole, {"input", "word", "evaluates_to"}),
     "lemma-2.1": (_far_hole, {"inputs", "deficiencies", "got"}),
@@ -225,6 +227,15 @@ def test_suites_report_a_wrong_compose(monkeypatch, name):
             report = run_suite(name, SMALL_BY_MONOID[monoid])
         assert report.failure_count > 0
         assert all(set(f) == fields for f in report.failures)
+
+
+def test_gap_lemmas_check_every_pair_with_a_bicyclic_factor():
+    spec = SMALL_BY_MONOID["nat"]
+    elems = _universe(spec)
+    bicyclic = sum(map(is_bicyclic, elems))
+    assert 0 < bicyclic < len(elems)
+    for name in ("lemma-3.4", "lemma-3.5"):
+        assert run_suite(name, spec).instances == bicyclic * len(elems)
 
 
 def test_example_2_13_extends_each_element_and_distinct_product_once(monkeypatch):
@@ -315,7 +326,7 @@ def test_worker_failures_propagate(monkeypatch):
     names = ["lemma-3.3", "filtration"]
     expected = [r.to_obj() for r in run_selected(names, jobs=1)]
 
-    def failing(spec, lo, hi, log, counters):
+    def failing(spec, instances, lo, hi, log, counters):
         if lo > 0:
             raise LookupError(f"chunk from {lo}")
         return hi - lo
@@ -347,7 +358,7 @@ class _LockHolder(Exception):
 
 
 def test_worker_errors_that_cannot_be_pickled_name_their_type(monkeypatch):
-    def failing(spec, lo, hi, log, counters):
+    def failing(spec, instances, lo, hi, log, counters):
         raise _LockHolder(f"chunk from {lo}")
 
     monkeypatch.setitem(SUITES, "filtration",
