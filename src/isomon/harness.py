@@ -189,12 +189,17 @@ class _FailLog:
 # ---------------------------------------------------------------------------
 # Vectorized element encoding for the associativity scan.
 #
-# Elements are packed into integers: the exception set as a bitmask over a
-# window wide enough for every product of up to three universe elements, the
-# shift (and reflection flag) above it.  Composition then becomes a handful
-# of elementwise numpy operations, which makes the full triple scan cheap.
-# ``key_bits`` is the length of the widest key a triple product can have;
-# keys are int64 when they fit in 63 bits, else Python ints in object arrays.
+# An element of either monoid is packed as three integers ``(a, r, m)``: its
+# unit x -> x + a, or x -> a - x when r = 1 (a nat element has r = 0), and
+# its exception mask, where bit b is the point low + b.  With reach = B + 2S
+# the window holds every hole of a product of up to three universe elements:
+# nat has low = 1 and width = reach, so preimages below 1 fall off its low
+# end; int has low = -reach and width = 2 * reach + 1.  A key packs a
+# (offset to be positive), r and m, high bits to low.  Composition then
+# becomes a handful of elementwise numpy operations, which makes the full
+# triple scan cheap.  ``key_bits`` is the length of the widest key a triple
+# product can have; keys are int64 when they fit in 63 bits, else Python
+# ints in object arrays.
 
 
 def _shift_bits(m, k):
@@ -206,70 +211,44 @@ def _shift_bits(m, k):
 
 
 class _Vec:
-    """A packed encoding: ``parts(e)``, the ints of one element with the
-    exception mask last, and ``layout``, which packs them (or arrays) into keys."""
+    """The packed encoding of a universe: ``parts(e)`` is ``(a, r, m)`` for
+    one element, and ``_layout`` packs those ints (or arrays) into keys."""
 
-    @property
-    def dtype(self):
-        return np.int64 if self.key_bits <= 63 else object
+    def __init__(self, spec: UniverseSpec):
+        self.nat = spec.monoid == "nat"
+        reach = spec.exception_bound + 2 * spec.shift_bound
+        self.low, self.width = (1, reach) if self.nat else (-reach, 2 * reach + 1)
+        self.koff = 3 * spec.shift_bound + 1
+        self.key_bits = self.width + 1 + (2 * self.koff).bit_length()
+        self.dtype = np.int64 if self.key_bits <= 63 else object
+
+    def parts(self, e) -> tuple:
+        a, r = (e.shift, 0) if self.nat else (e.unit.a, int(e.unit.reflect))
+        return a, r, sum(1 << (x - self.low) for x in e.exceptions)
 
     def pack(self, elems):
         return tuple(np.array(col, dtype=self.dtype)
                      for col in zip(*map(self.parts, elems)))
 
-    def key(self, t):
-        if np.any(t[-1] >> self.width):
-            raise AssertionError("exception mask escaped its window")
-        return self.layout(t)
-
-    def obj_key(self, e) -> int:
-        # unchecked, so a product with a hole outside the window mismatches
-        return self.layout(self.parts(e))
-
-
-class _NatVec(_Vec):
-    def __init__(self, spec: UniverseSpec):
-        self.width = spec.exception_bound + 2 * spec.shift_bound
-        self.koff = 3 * spec.shift_bound + 1
-        self.key_bits = self.width + (2 * self.koff).bit_length()
-
-    def parts(self, e: NatIsometry) -> tuple:
-        return e.shift, sum(1 << (x - 1) for x in e.exceptions)
-
-    def layout(self, t):
-        s, m = t
-        return (s + self.koff) << self.width | m
-
-    def compose(self, t1, t2):
-        s1, m1 = t1
-        s2, m2 = t2
-        # preimages below 1 fall off the low end of the mask, as they should
-        return s1 + s2, m1 | _shift_bits(m2, -s1)
-
-    def decode(self, key: int) -> NatIsometry:
-        m = key & ((1 << self.width) - 1)
-        s = (key >> self.width) - self.koff
-        return NatIsometry(s, FiniteIntSet(b + 1 for b in range(self.width)
-                                           if m >> b & 1))
-
-
-class _IntVec(_Vec):
-    def __init__(self, spec: UniverseSpec):
-        self.radius = spec.exception_bound + 2 * spec.shift_bound
-        self.width = 2 * self.radius + 1
-        self.koff = 3 * spec.shift_bound + 1
-        self.key_bits = self.width + 1 + (2 * self.koff).bit_length()
-
-    def parts(self, e: IntIsometry) -> tuple:
-        return (e.unit.a, int(e.unit.reflect),
-                sum(1 << (x + self.radius) for x in e.exceptions))
-
-    def layout(self, t):
+    def _layout(self, t):
         a, r, m = t
         return ((a + self.koff) << (self.width + 1)) | (r << self.width) | m
 
+    def key(self, t):
+        if np.any(t[-1] >> self.width):
+            raise AssertionError("exception mask escaped its window")
+        return self._layout(t)
+
+    def obj_key(self, e) -> int:
+        # no packed key is negative, so a product with a hole outside the
+        # window is a packed product mismatch
+        exc = e.exceptions
+        if exc and not self.low <= exc.min() <= exc.max() < self.low + self.width:
+            return -1
+        return self._layout(self.parts(e))
+
     def _mirror(self, m):
-        # bit b -> bit width-1-b: the window reflected about 0
+        # bit b -> bit width-1-b: the int window reflected about 0
         out = np.zeros_like(m)
         for b in range(self.width):
             out |= ((m >> b) & 1) << (self.width - 1 - b)
@@ -278,24 +257,18 @@ class _IntVec(_Vec):
     def compose(self, t1, t2):
         a1, r1, m1 = t1
         a2, r2, m2 = t2
-        a = np.where(r2 == 1, a2 - a1, a1 + a2)
-        r = r1 ^ r2
-        pre = np.where(r1 == 1,
-                       _shift_bits(self._mirror(m2), a1),
-                       _shift_bits(m2, -a1))
-        return a, r, m1 | pre
+        a = np.where(r2, a2 - a1, a1 + a2)
+        pre = _shift_bits(m2, -a1)
+        if np.count_nonzero(r1):  # never for nat
+            pre = np.where(r1, _shift_bits(self._mirror(m2), a1), pre)
+        return a, r1 ^ r2, m1 | pre
 
-    def decode(self, key: int) -> IntIsometry:
+    def decode(self, key: int):
         m = key & ((1 << self.width) - 1)
         r = (key >> self.width) & 1
         a = (key >> (self.width + 1)) - self.koff
-        exc = FiniteIntSet(b - self.radius for b in range(self.width) if m >> b & 1)
-        return IntIsometry(ZIsometry(int(a), bool(r)), exc)
-
-
-def _vec(spec: UniverseSpec):
-    """The packed encoding of a universe."""
-    return _NatVec(spec) if spec.monoid == "nat" else _IntVec(spec)
+        exc = FiniteIntSet(self.low + b for b in range(self.width) if m >> b & 1)
+        return NatIsometry(a, exc) if self.nat else IntIsometry(ZIsometry(a, bool(r)), exc)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +330,7 @@ def _pairwise(check, each=None, row=None):
 
 def _assoc_chunk(spec, elems, lo, hi, log, counters):
     n = len(elems)
-    vec = _vec(spec)
+    vec = _Vec(spec)
     arrays = vec.pack(elems)
     cols = tuple(x[None, :] for x in arrays)
     pairwise = vec.compose(tuple(x[:, None] for x in arrays), cols)

@@ -3,16 +3,16 @@ import json
 import multiprocessing
 import threading
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from isomon import FiniteIntSet, IntIsometry, NatIsometry, ZIsometry, harness
 from isomon.harness import (_REPORT_FAIL_CAP, INT_DEFAULT, NAT_DEFAULT, SUITES,
-                            UniverseSpec, _IntVec, _NatVec, _products, _table,
-                            _universe, _vec, count_universe, default_specs,
-                            enumerate_universe, run_selected, run_suite,
-                            suite_names)
+                            UniverseSpec, _Vec, _products, _table, _universe,
+                            count_universe, default_specs, enumerate_universe,
+                            run_selected, run_suite, suite_names)
 from isomon.homs import hom_translation, hom_z2
 from isomon.jsonio import element_to_obj
 from isomon.natmonoid import is_bicyclic
@@ -87,8 +87,18 @@ def test_every_suite_passes_at_small_bounds(name):
         assert report.instances > 0
 
 
-# a 56-bit mask window, but the shift field takes the key to 64 bits
+# a 56-bit mask window, but the reflection bit and the shift field take the
+# key to 65 bits
 WIDE_NAT = UniverseSpec("nat", 0, 28)
+
+
+def _with_hole(spec, x):
+    # the identity unit less point x; no nat element lacks a point below 1,
+    # so a stand-in with the fields the encoding reads stands for one
+    exc = FiniteIntSet([x])
+    if spec.monoid == "int":
+        return IntIsometry(ZIsometry(0), exc)
+    return NatIsometry(0, exc) if x >= 1 else SimpleNamespace(shift=0, exceptions=exc)
 
 
 def test_packed_composition_matches_object_composition():
@@ -96,7 +106,7 @@ def test_packed_composition_matches_object_composition():
     # product agrees with the real one on every pair product p and element z,
     # in both orders (the layer the triple scan actually composes)
     for spec in (UniverseSpec("nat", 2, 2), UniverseSpec("int", 1, 1), WIDE_NAT):
-        vec = _vec(spec)
+        vec = _Vec(spec)
         elems = _universe(spec)
         products = [x * y for x, y in product(elems, repeat=2)]
         for e in products + list(elems):
@@ -109,11 +119,15 @@ def test_packed_composition_matches_object_composition():
                          dtype=vec.dtype)
         assert np.array_equal(vec.key(vec.compose(ps, zs)), left)
         assert np.array_equal(vec.key(vec.compose(zs, ps)), right)
+        # a hole just outside the window keys as -1, which no packed key is
+        first, last = vec.low, vec.low + vec.width - 1
+        assert min(vec.obj_key(_with_hole(spec, x)) for x in (first, last)) >= 0
+        assert [vec.obj_key(_with_hole(spec, x)) for x in (first - 1, last + 1)] == [-1, -1]
 
 
 def test_assoc_packs_python_int_keys_beyond_63_bits():
-    vec = _vec(WIDE_NAT)
-    assert vec.key_bits == 64
+    vec = _Vec(WIDE_NAT)
+    assert vec.key_bits == 65
     assert all(a.dtype == object for a in vec.pack(_universe(WIDE_NAT)))
     report = run_suite("assoc", WIDE_NAT)
     assert report.passed and report.instances == 29 ** 3
@@ -123,7 +137,7 @@ def test_assoc_packs_python_int_keys_beyond_63_bits():
 def test_assoc_packs_every_key_that_fits_63_bits():
     # a 25-bit mask window: 32-bit keys
     spec = UniverseSpec("int", 0, 6)
-    assert _vec(spec).key_bits == 32
+    assert _Vec(spec).key_bits == 32
     report = run_suite("assoc", spec)
     assert report.passed and report.instances == 52 ** 3
     assert report.counters == {"pair_checks": 52 * 52}
@@ -156,8 +170,8 @@ def _packed_assoc_failures(spec, vec):
 def _nat_hole_after_shift(compose):
     # hole 1 appears when a shift by 1 is followed by a shift by 0
     def wrong(self, t1, t2):
-        s, m = compose(self, t1, t2)
-        return s, m | np.where((t1[0] == 1) & (t2[0] == 0), 1, 0)
+        a, r, m = compose(self, t1, t2)
+        return a, r, m | np.where((t1[0] == 1) & (t2[0] == 0), 1, 0)
     return wrong
 
 
@@ -165,19 +179,18 @@ def _int_hole_after_reflection(compose):
     # hole 0 appears when a reflection is followed by a translation
     def wrong(self, t1, t2):
         a, r, m = compose(self, t1, t2)
-        return a, r, m | np.where((t1[1] == 1) & (t2[1] == 0), 1 << self.radius, 0)
+        return a, r, m | np.where((t1[1] == 1) & (t2[1] == 0), 1 << -self.low, 0)
     return wrong
 
 
-@pytest.mark.parametrize("spec, vec_cls, fault", [
-    (UniverseSpec("nat", 2, 1), _NatVec, _nat_hole_after_shift),
-    (UniverseSpec("int", 0, 1), _IntVec, _int_hole_after_reflection),
-    (WIDE_NAT, _NatVec, _nat_hole_after_shift),
+@pytest.mark.parametrize("spec, fault", [
+    (UniverseSpec("nat", 2, 1), _nat_hole_after_shift),
+    (UniverseSpec("int", 0, 1), _int_hole_after_reflection),
+    (WIDE_NAT, _nat_hole_after_shift),
 ])
-def test_assoc_reports_exactly_the_non_associative_triples(monkeypatch, spec,
-                                                           vec_cls, fault):
-    monkeypatch.setattr(vec_cls, "compose", fault(vec_cls.compose))
-    expected = _packed_assoc_failures(spec, _vec(spec))
+def test_assoc_reports_exactly_the_non_associative_triples(monkeypatch, spec, fault):
+    monkeypatch.setattr(_Vec, "compose", fault(_Vec.compose))
+    expected = _packed_assoc_failures(spec, _Vec(spec))
     assert any("left" in f for f in expected)
     # a budget of n * n scans one row per block
     for budget in (harness._SCAN_BUDGET, 0):
@@ -185,6 +198,43 @@ def test_assoc_reports_exactly_the_non_associative_triples(monkeypatch, spec,
         report = run_suite("assoc", spec)
         assert report.failure_count == len(expected)
         assert report.failures == expected[:_REPORT_FAIL_CAP]
+
+
+@pytest.mark.parametrize("spec", [SMALL_BY_MONOID["nat"], SMALL_BY_MONOID["int"]])
+def test_assoc_stops_on_a_mask_that_escapes_its_window(monkeypatch, spec):
+    compose = _Vec.compose
+
+    def wrong(self, t1, t2):
+        a, r, m = compose(self, t1, t2)
+        return a, r, m | (1 << self.width)
+    monkeypatch.setattr(_Vec, "compose", wrong)
+    with pytest.raises(AssertionError, match="^exception mask escaped its window$"):
+        run_suite("assoc", spec)
+
+
+@pytest.mark.parametrize("hole", [
+    lambda p, reach: -50,  # below the window
+    # just above it, at the bit a reflection flag would take
+    lambda p, reach: reach + 1 if p.unit.reflect else None,
+], ids=["below", "reflection-bit"])
+def test_assoc_reports_products_with_a_hole_outside_the_window(monkeypatch, hole):
+    spec = SMALL_BY_MONOID["int"]
+    reach = spec.exception_bound + 2 * spec.shift_bound
+    elems = _universe(spec)
+    compose = IntIsometry.compose
+    expected = sum(hole(x * y, reach) is not None for x, y in product(elems, repeat=2))
+
+    def wrong(x, y):
+        p = compose(x, y)
+        h = hole(p, reach)
+        return p if h is None else dataclasses.replace(
+            p, exceptions=FiniteIntSet([*p.exceptions, h]))
+    monkeypatch.setattr(IntIsometry, "compose", wrong)
+    monkeypatch.setattr(IntIsometry, "__mul__", wrong)
+    report = run_suite("assoc", spec)
+    # the packed products are right, so only the pair cross-check fails
+    assert report.failure_count == expected > 0
+    assert all(set(f) == {"inputs", "check"} for f in report.failures)
 
 
 def _far_hole(compose):
