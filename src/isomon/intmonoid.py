@@ -1,14 +1,26 @@
 """Cofinite partial isometries of the integer line.
 
 Each element extends uniquely to a full isometry of the integers, so it is
-stored as that unit together with the finite set of points excluded from
-the domain.  Composition reads left to right, as everywhere in the library.
+that unit together with the finite set of points excluded from the domain.
+Composition reads left to right, as everywhere in the library.
+
+An element is stored written out, the way a nat element is: as one key
+tuple ``(a, reflect, holes)``, the unit x -> x + a (or x -> a - x when
+``reflect``) and the sorted tuple of holes, with the key's hash computed
+once.  Equality and hash are on the key.  ``.unit`` (a ``ZIsometry``) and
+``.exceptions`` (a ``FiniteIntSet``) are views, built on first access and
+kept, unless the constructor was given them.  Composition and inversion are
+integer arithmetic on the parts: the right operand's holes are pulled back
+in order, which a translation keeps and a reflection reverses, and merged
+with the left holes; no ``ZIsometry`` or ``FiniteIntSet`` is built for the
+product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .intsets import FiniteIntSet, symmetry_center
 from .isoz import ZIsometry
@@ -24,44 +36,110 @@ class HClassKind(Enum):
     FULL_UNITS = "FullUnits"
 
 
-@dataclass(frozen=True)
-class IntIsometry:
-    unit: ZIsometry = ZIsometry(0)
-    exceptions: FiniteIntSet = FiniteIntSet()
+_set = object.__setattr__
 
-    def __post_init__(self):
-        if not isinstance(self.exceptions, FiniteIntSet):
-            object.__setattr__(self, "exceptions", FiniteIntSet(self.exceptions))
+
+# A dataclass so that ``dataclasses.replace`` and ``fields`` see the two
+# public fields, unit and exceptions; the constructor, equality, hash and
+# repr are written out, and both fields are read through their views.
+@dataclass(frozen=True, init=False, repr=False, eq=False)
+class IntIsometry:
+    __slots__ = ("key", "_hash", "_unit", "_exceptions")
+
+    unit: ZIsometry
+    exceptions: FiniteIntSet
+
+    def __init__(self, unit: ZIsometry = ZIsometry(0),
+                 exceptions: Iterable[int] = FiniteIntSet()):
+        if not isinstance(exceptions, FiniteIntSet):
+            exceptions = FiniteIntSet(exceptions)
+        key = (unit.a, unit.reflect, exceptions.items)
+        _set(self, "key", key)
+        _set(self, "_hash", hash(key))
+        _set(self, "_unit", unit)
+        _set(self, "_exceptions", exceptions)
+
+    @property
+    def unit(self) -> ZIsometry:
+        """The unit above the element, its extension to the whole line."""
+        view = self._unit
+        if view is None:
+            view = ZIsometry(self.key[0], self.key[1])
+            _set(self, "_unit", view)
+        return view
+
+    @property
+    def exceptions(self) -> FiniteIntSet:
+        """Every point outside the domain: the holes."""
+        view = self._exceptions
+        if view is None:
+            view = FiniteIntSet._from_sorted(self.key[2])
+            _set(self, "_exceptions", view)
+        return view
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, IntIsometry):
+            return self.key == other.key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"IntIsometry(unit={self.unit!r}, exceptions={self.exceptions!r})"
+
+    def __reduce__(self):
+        return _make, self.key
 
     def apply(self, x: int) -> int | None:
-        if x in self.exceptions:
+        a, reflect, holes = self.key
+        if x in holes:
             return None
-        return self.unit.apply(x)
+        return a - x if reflect else x + a
 
     def compose(self, other: "IntIsometry") -> "IntIsometry":
-        back = self.unit.inverse()
-        exc = set(self.exceptions)
-        exc.update(back.apply(y) for y in other.exceptions)
-        return IntIsometry(self.unit * other.unit, FiniteIntSet(exc))
+        # the right holes pulled back through this unit: a translation keeps
+        # their order and a reflection reverses it
+        a, reflect, holes = self.key
+        b, other_reflect, other_holes = other.key
+        if other_holes:
+            back = (tuple(a - h for h in reversed(other_holes)) if reflect
+                    else tuple(h - a for h in other_holes))
+            holes = tuple(sorted({*holes, *back})) if holes else back
+        if other_reflect:
+            return _make(b - a, not reflect, holes)
+        return _make(a + b, reflect, holes)
 
     __mul__ = compose
 
     def inverse(self) -> "IntIsometry":
-        return IntIsometry(
-            self.unit.inverse(),
-            FiniteIntSet(self.unit.apply(e) for e in self.exceptions),
-        )
+        a, reflect, holes = self.key
+        if reflect:
+            return _make(a, reflect, tuple(a - h for h in reversed(holes)))
+        return _make(-a, reflect, tuple(h + a for h in holes))
 
     @property
     def deficiency(self) -> int:
-        return len(self.exceptions)
+        return len(self.key[2])
 
     def is_idempotent(self) -> bool:
-        return self.unit.is_identity()
+        a, reflect, _ = self.key
+        return a == 0 and not reflect
+
+
+def _make(a: int, reflect: bool, holes: tuple) -> IntIsometry:
+    """An element from its parts, unchecked: ``holes`` sorted and distinct."""
+    g = object.__new__(IntIsometry)
+    key = (a, reflect, holes)
+    _set(g, "key", key)
+    _set(g, "_hash", hash(key))
+    _set(g, "_unit", None)
+    _set(g, "_exceptions", None)
+    return g
 
 
 def identity() -> IntIsometry:
-    return IntIsometry(ZIsometry(0))
+    return _make(0, False, ())
 
 
 def identity_on(exceptions: FiniteIntSet) -> IntIsometry:

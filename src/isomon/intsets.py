@@ -90,9 +90,13 @@ def symmetry_center(s: FiniteIntSet) -> HalfInteger | None:
     """Center of symmetry of a finite set, or None.
 
     A set is symmetric only about the midpoint of its extremes, so that is
-    the single candidate tested.  The empty set has no center.
+    the single candidate tested: in sorted order, the i-th point from either
+    end must pair up about it.  The empty set has no center.
     """
-    if not s:
+    items = s.items
+    if not items:
         return None
-    c = HalfInteger(s.min() + s.max())
-    return c if s.reflect(c) == s else None
+    doubled = items[0] + items[-1]
+    if all(x + y == doubled for x, y in zip(items, reversed(items))):
+        return HalfInteger(doubled)
+    return None

@@ -1,4 +1,4 @@
-"""Print the report of every suite at the default bounds, with six faults injected.
+"""Print the report of every suite at the default bounds, with eight faults injected.
 
     PYTHONPATH=src python tests/fault_reports.py --jobs J
 
@@ -10,6 +10,11 @@ worker processes inherit them:
 
 - int ``compose`` keeps only the left holes when a reflection meets an odd
   number of holes;
+- int ``compose`` adds hole -50, below the ``assoc`` window, when the
+  translation by 2 meets the hole set {-2};
+- int ``compose`` adds hole ``reach + 1``, just above that window, at the
+  bit a reflection flag would take, when the translation by 2 meets a
+  reflection with the hole set {2};
 - nat ``compose`` adds hole 9 when a shift by 1 meets hole 3;
 - ``NatIsometry.markers`` raises ``nr_high`` on elements with two holes;
 - the harness's ``decompose`` returns the word of ``NatIsometry(1)`` on shift 2;
@@ -21,6 +26,7 @@ The file name keeps pytest from collecting it.
 """
 
 import argparse
+import dataclasses
 import json
 
 from isomon import FiniteIntSet, IntIsometry, NatIsometry, ZIsometry, harness
@@ -35,11 +41,17 @@ def inject_faults():
     int_compose, nat_compose = IntIsometry.compose, NatIsometry.compose
     markers, decompose = NatIsometry.markers, harness.decompose
     is_monotone, order = FiniteTailMap.is_monotone, ZIsometry.order
+    spec = harness.INT_DEFAULT
+    reach = spec.exception_bound + 2 * spec.shift_bound
 
     def int_wrong(x, y):
         p = int_compose(x, y)
         if x.unit.reflect and len(y.exceptions) % 2:
             return IntIsometry(p.unit, x.exceptions)
+        if x.unit == ZIsometry(2) and y.exceptions == FiniteIntSet([-2]):
+            return IntIsometry(p.unit, FiniteIntSet([*p.exceptions, -50]))
+        if x.unit == ZIsometry(2) and y.unit.reflect and y.exceptions == FiniteIntSet([2]):
+            return dataclasses.replace(p, exceptions=[*p.exceptions, reach + 1])
         return p
 
     def nat_wrong(x, y):

@@ -37,6 +37,14 @@ def nat_is_canonical(e: NatIsometry) -> bool:
             and all(a < b for a, b in zip(edges, edges[1:])))
 
 
+def int_is_canonical(e: IntIsometry) -> bool:
+    """The stored holes of e are its normal form: a tuple, strictly
+    increasing, and the very points its exception set lists."""
+    holes = e.key[2]
+    return (isinstance(holes, tuple) and all(a < b for a, b in zip(holes, holes[1:]))
+            and e.exceptions.items == holes)
+
+
 def int_points(e: IntIsometry, radius: int) -> dict[int, int]:
     """The map e as explicit pairs on domain points -radius..radius."""
     return int_points_on(e, range(-radius, radius + 1))

@@ -6,15 +6,15 @@ points that covers every place where the domain of an operand or of the
 result changes (the end of a nat prefix, every sparse hole), their
 neighbours, and a few drawn points."""
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from isomon import (FiniteIntSet, IntIsometry, NatIsometry, ZIsometry, decompose,
-                    decompose_filtered, extend_in)
+                    decompose_filtered, extend_in, intmonoid)
 from isomon.natmonoid import _make
 
-from oracles import (agree_on, compose_points, int_points_on, nat_domain,
-                     nat_is_canonical, nat_points_on, word_apply)
+from oracles import (agree_on, compose_points, int_is_canonical, int_points_on,
+                     nat_domain, nat_is_canonical, nat_points_on, word_apply)
 
 FAR = 10 ** 6
 
@@ -61,6 +61,7 @@ def test_nat_compose_matches_the_oracle(x, y, extra):
 @given(int_elements, int_elements, points)
 def test_int_compose_matches_the_oracle(x, y, extra):
     p = x * y
+    assert int_is_canonical(p)
     a = x.unit.a
     window = _around(x.exceptions, p.exceptions, extra,
                      {h - a for h in y.exceptions}, {a - h for h in y.exceptions})
@@ -90,6 +91,7 @@ def test_nat_parts_match_the_public_constructor(g):
 @given(int_elements, points)
 def test_int_inverse_matches_the_oracle(x, extra):
     inv = x.inverse()
+    assert int_is_canonical(inv)
     a = x.unit.a
     domain = _around(x.exceptions, extra, {y - a for y in inv.exceptions},
                      {a - y for y in inv.exceptions})
@@ -97,6 +99,18 @@ def test_int_inverse_matches_the_oracle(x, extra):
     window = (set(inv.exceptions) | set(inverted)
               | {x.unit.apply(h) for h in x.exceptions})
     assert agree_on(inv, inverted, window)
+
+
+# reflections and translations, with holes on both sides of 0
+@given(st.integers(-FAR, FAR), st.booleans(),
+       st.sets(st.integers(-FAR, FAR), max_size=6) | st.sets(st.integers(-6, 6)))
+@example(3, True, {-4, -1, 0, 2, 7})
+def test_int_parts_match_the_public_constructor(a, reflect, holes):
+    g = intmonoid._make(a, reflect, tuple(sorted(holes)))
+    built = IntIsometry(ZIsometry(a, reflect), FiniteIntSet(holes))
+    assert g == built and hash(g) == hash(built)
+    assert g.unit == ZIsometry(a, reflect) and g.exceptions == FiniteIntSet(holes)
+    assert int_is_canonical(g) and int_is_canonical(built)
 
 
 def _word_points(word, window) -> dict[int, int]:

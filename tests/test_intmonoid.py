@@ -1,9 +1,11 @@
+import dataclasses
+import pickle
 from itertools import product
 
 import pytest
 
 from isomon import (FiniteIntSet, FullUnitsError, HClassKind, IntIsometry,
-                    ZIsometry, hclass_group, restriction_isometries)
+                    NatIsometry, ZIsometry, hclass_group, restriction_isometries)
 from isomon.harness import UniverseSpec, enumerate_universe
 from isomon.intmonoid import identity, identity_on, natural_le, sigma
 
@@ -140,3 +142,49 @@ def test_hclass_examples():
     assert hclass_group(FiniteIntSet()) == HClassKind.FULL_UNITS
     assert hclass_group(FiniteIntSet([0, 3])) == HClassKind.Z2
     assert hclass_group(FiniteIntSet([0, 2, 3])) == HClassKind.TRIVIAL
+
+
+REFLECTING = IntIsometry(ZIsometry(2, True), FiniteIntSet([-1, 4]))
+
+
+def test_replace_goes_through_the_public_constructor():
+    moved = dataclasses.replace(REFLECTING, unit=ZIsometry(5))
+    assert moved == IntIsometry(ZIsometry(5), FiniteIntSet([-1, 4]))
+    listed = dataclasses.replace(REFLECTING, exceptions=[3, -2, 3])
+    assert listed == IntIsometry(ZIsometry(2, True), FiniteIntSet([-2, 3]))
+    assert isinstance(listed.exceptions, FiniteIntSet)
+
+
+def test_fields_are_unit_and_exceptions():
+    assert [f.name for f in dataclasses.fields(REFLECTING)] == ["unit", "exceptions"]
+
+
+def test_pickle_round_trip():
+    for g in (REFLECTING, REFLECTING.inverse(), REFLECTING * REFLECTING, identity()):
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and hash(back) == hash(g)
+        assert back.unit == g.unit and back.exceptions == g.exceptions
+
+
+def test_elements_are_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        REFLECTING.unit = ZIsometry(0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        REFLECTING.key = (0, False, ())
+
+
+def test_default_constructor_is_the_identity():
+    assert IntIsometry() == identity()
+    assert hash(IntIsometry()) == hash(identity())
+
+
+def test_never_equal_to_a_nat_element():
+    assert IntIsometry() != NatIsometry()
+    assert IntIsometry(ZIsometry(1), FiniteIntSet([1])) != NatIsometry(1, FiniteIntSet([1]))
+
+
+def test_repr_lists_the_unit_and_the_exceptions():
+    text = ("IntIsometry(unit=ZIsometry(a=2, reflect=True), "
+            "exceptions=FiniteIntSet([-1, 4]))")
+    assert repr(REFLECTING) == text
+    assert repr(REFLECTING * identity()) == text
