@@ -8,8 +8,9 @@ counts, so two runs of ``isomon check --all --format json`` are identical.
 
 A suite is a sequence of instances plus a check that yields one item per
 instance, None or the whole failure.  ``_each`` scans any such sequence, the
-universe's elements by default; ``_pairwise`` scans the universe's pairs, with
-two options, ``each`` and ``row``.  Only the packed ``assoc`` scan is its own.
+universe's elements by default; ``_Pairwise`` scans the universe's pairs
+through a value of each element and product, with an optional ``row`` check.
+Only the packed ``assoc`` scan is its own.
 
 Suites shard their instance sequence over contiguous chunks.  With
 ``--jobs`` above 1, one set of worker processes lives for the whole
@@ -17,13 +18,14 @@ Suites shard their instance sequence over contiguous chunks.  With
 order-preserving, which is the only synchronization point.
 
 Every suite that composes pairs reads them from one product table per
-universe and process (``_products``): row i holds ``elems[i] * y`` for every
-y, built on first use, so a worker builds only its own chunks' rows, once,
-and reuses them in every later suite of the run.  Equal products are one
-interned object, so values a suite derives from a product are computed once
-per distinct product.  The packed ``assoc`` scan checks each triple through
-the distinct pair products, which it composes once with every element on
-each side.
+universe and process (``_products``): row i holds, for every y, the id of
+``elems[i] * y`` among the table's distinct products, built on first use, so
+a worker builds only its own chunks' rows, once, and reuses them in every
+later suite of the run.  Each distinct product is one interned object.  A
+pairwise check runs once per distinct triple of values of x, y and x * y,
+and its items are counted over that triple's pairs.  The packed ``assoc``
+scan checks each triple through the distinct pair products, which it
+composes once with every element on each side.
 """
 
 from __future__ import annotations
@@ -116,23 +118,33 @@ def _universe(spec: UniverseSpec) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _table(spec: UniverseSpec, mul: Callable) -> tuple[dict, dict]:
-    # keyed on the product in force too, so a replaced compose gets its own
-    return {}, {}
+def _table(spec: UniverseSpec, mul: Callable) -> tuple[dict, dict, list]:
+    # rows, ids of the distinct products, and the products by id; keyed on
+    # the product in force too, so a replaced compose gets its own
+    return {}, {}, []
 
 
-def _products(spec: UniverseSpec, i: int) -> tuple:
-    """Row i of the universe's product table, ``elems[i] * y`` for every y.
+def _products(spec: UniverseSpec, i: int) -> tuple[np.ndarray, list]:
+    """Row i of the universe's product table, the ids of ``elems[i] * y`` for
+    every y, and the table's distinct products by id.
 
     Rows are built on first use, so a worker builds only its own chunk's.
     Equal products are interned: each distinct product is one object.
     """
     elems = _universe(spec)
     x = elems[i]
-    rows, distinct = _table(spec, type(x).__mul__)
+    rows, ids, objs = _table(spec, type(x).__mul__)
     if i not in rows:
-        rows[i] = tuple(distinct.setdefault(p, p) for p in (x * y for y in elems))
-    return rows[i]
+        rows[i] = np.array([ids.setdefault(p, len(ids))
+                            for p in (x * y for y in elems)])
+        objs.extend(itertools.islice(ids, len(objs), None))
+    return rows[i], objs
+
+
+def _product_rows(spec: UniverseSpec, lo: int, hi: int) -> tuple[np.ndarray, list]:
+    """Rows [lo, hi) of the product table as one id array, and the products by id."""
+    rows = np.array([_products(spec, i)[0] for i in range(lo, hi)])
+    return rows, _products(spec, lo)[1]
 
 
 @dataclass
@@ -282,18 +294,6 @@ def _objs(*elems) -> list:
     return [element_to_obj(e) for e in elems]
 
 
-def _memo(f):
-    """``f`` computed once per object.  Keyed on ``id``, which is safe for
-    universe elements and interned products: their caches keep them alive."""
-    values: dict = {}
-
-    def value(obj):
-        if id(obj) not in values:
-            values[id(obj)] = f(obj)
-        return values[id(obj)]
-    return value
-
-
 def _each(check):
     """Chunk over the instances themselves: ``check(item, counters)`` yields
     one item per instance it checks, None or the whole failure."""
@@ -302,30 +302,55 @@ def _each(check):
     return chunk
 
 
-def _pairwise(check, each=None, row=None):
+@dataclass(frozen=True)
+class _Pairwise:
     """Chunk over pairs (x, y) of universe elements with x in rows [lo, hi).
-    ``check(x, y, p, counters)``, with p = x * y from the product table,
-    yields one item per instance it checks: None, or the failure's fields
-    besides ``inputs``.  With ``each``, it gets ``each(x)``, ``each(y)`` and
-    ``each(p)`` instead, computed once per element and once per distinct
-    product in a chunk.  ``row(i, x, each(x), counters)`` yields row i's own
-    items, failures whole, before its pairs."""
-    def chunk(spec, elems, lo, hi, log, counters):
-        value = None if each is None else _memo(each)
-        vals = elems if value is None else [value(e) for e in elems]
-        n = 0
+
+    ``check(xv, yv, pv, counters)`` gets ``each(x)``, ``each(y)`` and
+    ``each(p)`` for p = x * y from the product table, and yields one item per
+    instance it checks: None, or the failure's fields besides ``inputs``.
+    ``each`` values are hashable, and values that compare equal give equal
+    check items and counts: the check runs once per distinct value triple,
+    and its instances, counts and failures are spread over that triple's
+    pairs in scan order.  ``row(i, x, each(x), counters)`` yields row i's own
+    items, failures whole, before its pairs.
+    """
+    check: Callable
+    each: Callable
+    row: Callable | None = None
+
+    def __call__(self, spec, elems, lo, hi, log, counters):
+        ids, objs = _product_rows(spec, lo, hi)
+        code: dict = {}  # each distinct value's code, in order of first sight
+        ex = np.array([code.setdefault(v, len(code)) for v in map(self.each, elems)])
+        nx = len(code)
+        pc = np.array([code.setdefault(v, len(code)) for v in map(self.each, objs)])
+        values, nv = list(code), len(code)
+        if nx * nx * nv >> 63:
+            raise AssertionError("value class keys overflow int64")
+        keys = (ex[lo:hi, None] * nx + ex) * nv + pc[ids]
+        classes, inverse, sizes = np.unique(keys, return_inverse=True,
+                                            return_counts=True)
+        inverse = inverse.reshape(keys.shape)
+        n, fails = 0, []
+        for key, size in zip(classes.tolist(), sizes.tolist()):
+            xy, vp = divmod(key, nv)
+            delta = dict.fromkeys(counters, 0)
+            xv, yv, pv = values[xy // nx], values[xy % nx], values[vp]
+            items = list(self.check(xv, yv, pv, delta))
+            n += size * len(items)
+            for name, count in delta.items():
+                counters[name] += size * count
+            fails.append([fields for fields in items if fields is not None])
+        failing = np.array([bool(f) for f in fails])
         for i in range(lo, hi):
-            x, xv = elems[i], vals[i]
-            if row is not None:
-                n += log.scan(row(i, x, xv, counters))
-            for j, p in enumerate(_products(spec, i)):
-                for fields in check(xv, vals[j], p if value is None else value(p),
-                                    counters):
-                    n += 1
-                    if fields is not None:
-                        log.add({"inputs": _objs(x, elems[j]), **fields})
+            x, row = elems[i], inverse[i - lo]
+            if self.row is not None:
+                n += log.scan(self.row(i, x, values[ex[i]], counters))
+            for j in np.flatnonzero(failing[row]):
+                for fields in fails[row[j]]:
+                    log.add({"inputs": _objs(x, elems[j]), **fields})
         return n
-    return chunk
 
 
 def _assoc_chunk(spec, elems, lo, hi, log, counters):
@@ -335,15 +360,14 @@ def _assoc_chunk(spec, elems, lo, hi, log, counters):
     cols = tuple(x[None, :] for x in arrays)
     pairwise = vec.compose(tuple(x[:, None] for x in arrays), cols)
     pair_keys = vec.key(pairwise)
-    # cross-check the packed composition against the real one, row by row;
-    # equal products are one object, so each distinct one is keyed once
-    key = _memo(vec.obj_key)
-    for i in range(lo, hi):
-        obj_row = np.fromiter(map(key, _products(spec, i)), dtype=vec.dtype, count=n)
-        for j in np.nonzero(obj_row != pair_keys[i])[0]:
-            log.add({"inputs": _objs(elems[i], elems[j]),
-                     "check": "packed product mismatch"})
-        counters["pair_checks"] += n
+    # cross-check the packed composition against the real one, keying each
+    # distinct product once
+    ids, objs = _product_rows(spec, lo, hi)
+    obj_keys = np.array([vec.obj_key(p) for p in objs], dtype=vec.dtype)
+    for i, j in np.argwhere(obj_keys[ids] != pair_keys[lo:hi]):
+        log.add({"inputs": _objs(elems[lo + i], elems[j]),
+                 "check": "packed product mismatch"})
+    counters["pair_checks"] += (hi - lo) * n
     # Keys are injective, so every triple product goes through one of the
     # distinct pair products q: (x_i y_j) z_k = pz[idx[i, j], k] and
     # x_i (y_j z_k) = xq[i, idx[j, k]].
@@ -379,17 +403,19 @@ def _inverse_check(g, counters):
     yield None if ok else {"input": element_to_obj(g), "inverse": element_to_obj(gi)}
 
 
-def _lemma21_check(x, y, p, counters):
-    dx, dy = x.deficiency, y.deficiency
-    d = p.deficiency
+def _lemma21_check(dx, dy, d, counters):
     yield None if max(dx, dy) <= d <= dx + dy else {"deficiencies": [dx, dy], "got": d}
 
 
 _INT_IDENTITY = intmonoid.identity()
 
 
-def _prop22_check(x, y, p, counters):
-    yield {} if p == _INT_IDENTITY and (x.deficiency or y.deficiency) else None
+def _prop22_values(g):
+    return g.deficiency, g == _INT_IDENTITY
+
+
+def _prop22_check(xv, yv, pv, counters):
+    yield {} if pv[1] and (xv[0] or yv[0]) else None
 
 
 def _lemma29_check(exc, counters):
@@ -472,12 +498,13 @@ def _filtration_check(instance, counters):
     yield None if chain and base else {"input": element_to_obj(g), "gap": g.gap()}
 
 
-def _sigma_check(x, y, p, counters):
-    if isinstance(x, NatIsometry):
-        ok = natmonoid.sigma(p) == natmonoid.sigma(x) + natmonoid.sigma(y)
-    else:
-        ok = intmonoid.sigma(p) == intmonoid.sigma(x) * intmonoid.sigma(y)
-    yield None if ok else {}
+def _sigma(g):
+    return natmonoid.sigma(g) if isinstance(g, NatIsometry) else intmonoid.sigma(g)
+
+
+def _sigma_check(sx, sy, sp, counters):
+    # nat's image is the integers under addition, int's the unit group
+    yield None if sp == (sx + sy if isinstance(sx, int) else sx * sy) else {}
 
 
 def _roundtrip_check(g, counters):
@@ -620,27 +647,27 @@ _BOTH = (NAT_DEFAULT, INT_DEFAULT)
 SUITES: dict[str, _Suite] = {
     "assoc": _Suite(_BOTH, _assoc_chunk, ("pair_checks",)),
     "inverse-axioms": _Suite(_BOTH, _each(_inverse_check)),
-    "lemma-2.1": _Suite(_INT, _pairwise(_lemma21_check)),
-    "prop-2.2": _Suite(_INT, _pairwise(_prop22_check)),
+    "lemma-2.1": _Suite(_INT, _Pairwise(_lemma21_check,
+                                        operator.attrgetter("deficiency"))),
+    "prop-2.2": _Suite(_INT, _Pairwise(_prop22_check, _prop22_values)),
     "lemma-2.9-oracle": _Suite((UniverseSpec("int", 4, 2),), _each(_lemma29_check),
                                ("Trivial", "Z2", "FullUnits"),
                                lambda spec: _window_sets(spec.exception_bound)),
     "lemma-3.3": _Suite(_NAT, _each(_lemma33_check)),
-    "lemma-3.4": _Suite(_NAT, _pairwise(_lemma34_check, each=NatIsometry.gap)),
-    "lemma-3.5": _Suite(_NAT, _pairwise(_lemma35_check, each=NatIsometry.gap)),
-    "lemma-3.6": _Suite(_NAT, _pairwise(_lemma36_check, each=_lemma36_values),
+    "lemma-3.4": _Suite(_NAT, _Pairwise(_lemma34_check, NatIsometry.gap)),
+    "lemma-3.5": _Suite(_NAT, _Pairwise(_lemma35_check, NatIsometry.gap)),
+    "lemma-3.6": _Suite(_NAT, _Pairwise(_lemma36_check, _lemma36_values),
                         ("case1", "case2", "case3", "case4")),
     "filtration": _Suite(_NAT, _each(_filtration_check),
                          instances=_filtration_instances),
-    "sigma-hom": _Suite(_BOTH, _pairwise(_sigma_check)),
+    "sigma-hom": _Suite(_BOTH, _Pairwise(_sigma_check, _sigma)),
     "decompose-roundtrip": _Suite(_NAT, _each(_roundtrip_check)),
     "decompose-filtered": _Suite(_NAT, _each(_filtered_check)),
     "remark-3.9": _Suite(_NAT, _each(_conjugation_check),
                          instances=lambda spec: _CONJUGATION_PAIRS),
-    "example-2.13": _Suite(_NAT, _pairwise(_extension_check, each=_extensions,
-                                           row=_extension_row)),
-    "cor-2.12": _Suite(_NAT, _pairwise(_cor212_check, each=_cor212_homs,
-                                       row=_cor212_row),
+    "example-2.13": _Suite(_NAT, _Pairwise(_extension_check, _extensions,
+                                           _extension_row)),
+    "cor-2.12": _Suite(_NAT, _Pairwise(_cor212_check, _cor212_homs, _cor212_row),
                        ("z2_identities", "z2_reflections"), finalize=_cor212_finalize),
     "bicyclic-oracle": _Suite(_NAT, _each(_bicyclic_check),
                               instances=lambda spec: _BICYCLIC_EXPONENTS),

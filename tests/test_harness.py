@@ -291,7 +291,8 @@ def test_gap_lemmas_check_every_pair_with_a_bicyclic_factor():
 def test_example_2_13_extends_each_element_and_distinct_product_once(monkeypatch):
     spec = SMALL_BY_MONOID["nat"]
     elems = _universe(spec)
-    distinct = {p for i in range(len(elems)) for p in _products(spec, i)}
+    distinct = {objs[k] for i in range(len(elems))
+                for row, objs in [_products(spec, i)] for k in row}
     calls = []
     extend_in = harness.extend_in
     monkeypatch.setattr(harness, "extend_in",
@@ -318,6 +319,72 @@ def test_cor_2_12_composes_each_distinct_pair_of_images_once(monkeypatch):
     monkeypatch.setattr(IntIsometry, "__mul__", counting)
     assert run_suite("cor-2.12", spec).passed
     assert len(calls) <= len(images) < len(elems) ** 2
+
+
+def _per_pair_report(name, spec):
+    # what a pairwise suite must report, by a direct loop: row i's own items,
+    # then every pair's items in column order, each pair composed and its
+    # values computed on their own
+    suite = SUITES[name]
+    check, each, row = suite.chunk.check, suite.chunk.each, suite.chunk.row
+    elems = _universe(spec)
+    counters = dict.fromkeys(suite.counters, 0)
+    instances, failures = 0, []
+    for i, x in enumerate(elems):
+        items = [] if row is None else list(row(i, x, each(x), counters))
+        instances += len(items)
+        failures += [f for f in items if f is not None]
+        for y in elems:
+            for fields in check(each(x), each(y), each(x * y), counters):
+                instances += 1
+                if fields is not None:
+                    failures.append({"inputs": [element_to_obj(x), element_to_obj(y)],
+                                     **fields})
+    if suite.finalize is not None:
+        failures += suite.finalize(spec, counters)
+    return harness.SuiteReport(name, spec, instances, failures[:_REPORT_FAIL_CAP],
+                               len(failures), counters, 0.0).to_obj()
+
+
+PAIRWISE = [name for name, suite in SUITES.items()
+            if isinstance(suite.chunk, harness._Pairwise)]
+
+
+@pytest.mark.parametrize("fault", [None, _far_hole])
+def test_pairwise_suites_match_a_per_pair_scan(monkeypatch, fault):
+    assert {"lemma-3.4", "lemma-3.6", "example-2.13", "cor-2.12"} <= set(PAIRWISE)
+    if fault is not None:
+        for cls in (NatIsometry, IntIsometry):
+            wrong = fault(cls.compose)
+            monkeypatch.setattr(cls, "compose", wrong)
+            monkeypatch.setattr(cls, "__mul__", wrong)
+    over_cap = False
+    for name in PAIRWISE:
+        for monoid in SUITES[name].monoids:
+            spec = SMALL_BY_MONOID[monoid]
+            expected = _per_pair_report(name, spec)
+            assert run_suite(name, spec).to_obj() == expected
+            for jobs in (2, 3):
+                _table.cache_clear()
+                assert run_suite(name, spec, jobs=jobs).to_obj() == expected
+            over_cap |= expected["failure_count"] > _REPORT_FAIL_CAP
+    assert over_cap == (fault is not None)
+
+
+def test_sigma_hom_composes_the_units_once_per_value_class(monkeypatch):
+    spec = SMALL_BY_MONOID["int"]
+    elems = _universe(spec)
+    classes = {(x.unit, y.unit, (x * y).unit) for x in elems for y in elems}
+    calls = []
+    compose = ZIsometry.compose
+
+    def counting(x, y):
+        calls.append((x, y))
+        return compose(x, y)
+    monkeypatch.setattr(ZIsometry, "compose", counting)
+    monkeypatch.setattr(ZIsometry, "__mul__", counting)
+    assert run_suite("sigma-hom", spec).passed
+    assert 0 < len(calls) <= len(classes) < len(elems) ** 2
 
 
 def test_lemma_3_3_reports_wrong_markers(monkeypatch):
@@ -425,9 +492,9 @@ def test_product_rows_are_the_interned_products():
     elems = _universe(spec)
     interned = {}
     for i, x in enumerate(elems):
-        row = _products(spec, i)
-        assert list(row) == [x * y for y in elems]
-        assert all(interned.setdefault(p, p) is p for p in row)
+        row, objs = _products(spec, i)
+        assert [objs[k] for k in row] == [x * y for y in elems]
+        assert all(interned.setdefault(objs[k], objs[k]) is objs[k] for k in row)
     assert len(interned) < len(elems) ** 2
 
 
