@@ -18,14 +18,18 @@ Suites shard their instance sequence over contiguous chunks.  With
 order-preserving, which is the only synchronization point.
 
 Every suite that composes pairs reads them from one product table per
-universe and process (``_products``): row i holds, for every y, the id of
-``elems[i] * y`` among the table's distinct products, built on first use, so
-a worker builds only its own chunks' rows, once, and reuses them in every
-later suite of the run.  Each distinct product is one interned object.  A
+universe chunk and process (``_product_rows``): for each x in the chunk's
+rows and every y, the id of ``x * y`` among the chunk's distinct products,
+each of which is one interned object.  The table is built once per chunk and
+compose in force, and chunk c of every suite is the same rows, so a worker
+builds its table once and reuses it in every later suite of the run.  A
 pairwise check runs once per distinct triple of values of x, y and x * y,
 and its items are counted over that triple's pairs.  The packed ``assoc``
 scan checks each triple through the distinct pair products, which it
-composes once with every element on each side.
+composes once with every element on each side; it decodes each distinct
+packed pair product and compares it with the table's, so the library's
+compose is checked on the universe's pairs, not on the pair products the
+triple scan composes.
 """
 
 from __future__ import annotations
@@ -68,8 +72,9 @@ class UniverseSpec:
     def __post_init__(self):
         if self.monoid not in ("nat", "int"):
             raise ValueError(f"unknown monoid {self.monoid!r}")
-        if self.exception_bound < 0 or self.shift_bound < 0:
-            raise ValueError("bounds must be non-negative")
+        for bound in (self.exception_bound, self.shift_bound):
+            if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
+                raise ValueError(f"bounds must be non-negative ints, got {bound!r}")
 
 
 NAT_DEFAULT = UniverseSpec("nat", 5, 2)
@@ -117,34 +122,21 @@ def _universe(spec: UniverseSpec) -> tuple:
     return tuple(enumerate_universe(spec))
 
 
-@lru_cache(maxsize=None)
-def _table(spec: UniverseSpec, mul: Callable) -> tuple[dict, dict, list]:
-    # rows, ids of the distinct products, and the products by id; keyed on
-    # the product in force too, so a replaced compose gets its own
-    return {}, {}, []
-
-
-def _products(spec: UniverseSpec, i: int) -> tuple[np.ndarray, list]:
-    """Row i of the universe's product table, the ids of ``elems[i] * y`` for
-    every y, and the table's distinct products by id.
-
-    Rows are built on first use, so a worker builds only its own chunk's.
-    Equal products are interned: each distinct product is one object.
-    """
-    elems = _universe(spec)
-    x = elems[i]
-    rows, ids, objs = _table(spec, type(x).__mul__)
-    if i not in rows:
-        rows[i] = np.array([ids.setdefault(p, len(ids))
-                            for p in (x * y for y in elems)])
-        objs.extend(itertools.islice(ids, len(objs), None))
-    return rows[i], objs
-
-
 def _product_rows(spec: UniverseSpec, lo: int, hi: int) -> tuple[np.ndarray, list]:
-    """Rows [lo, hi) of the product table as one id array, and the products by id."""
-    rows = np.array([_products(spec, i)[0] for i in range(lo, hi)])
-    return rows, _products(spec, lo)[1]
+    """Rows [lo, hi) of the universe's product table: for each x in the
+    rows and every y, the id of ``x * y`` among the rows' distinct products,
+    and those products by id.  Equal products are one interned object."""
+    return _chunk_table(spec, type(_universe(spec)[0]).__mul__, lo, hi)
+
+
+@lru_cache(maxsize=None)
+def _chunk_table(spec: UniverseSpec, mul: Callable, lo: int, hi: int) -> tuple:
+    # keyed on the product in force too, so a replaced compose gets its own
+    elems = _universe(spec)
+    ids: dict = {}
+    rows = np.array([[ids.setdefault(mul(x, y), len(ids)) for y in elems]
+                     for x in elems[lo:hi]])
+    return rows, list(ids)
 
 
 @dataclass
@@ -224,7 +216,9 @@ def _shift_bits(m, k):
 
 class _Vec:
     """The packed encoding of a universe: ``parts(e)`` is ``(a, r, m)`` for
-    one element, and ``_layout`` packs those ints (or arrays) into keys."""
+    one element, ``key`` packs those ints (or arrays) into keys, and
+    ``decode`` turns a key back into an element.  Packed products are only
+    ever decoded and compared with the library's; no element is keyed."""
 
     def __init__(self, spec: UniverseSpec):
         self.nat = spec.monoid == "nat"
@@ -242,22 +236,11 @@ class _Vec:
         return tuple(np.array(col, dtype=self.dtype)
                      for col in zip(*map(self.parts, elems)))
 
-    def _layout(self, t):
-        a, r, m = t
-        return ((a + self.koff) << (self.width + 1)) | (r << self.width) | m
-
     def key(self, t):
-        if np.any(t[-1] >> self.width):
+        a, r, m = t
+        if np.any(m >> self.width):
             raise AssertionError("exception mask escaped its window")
-        return self._layout(t)
-
-    def obj_key(self, e) -> int:
-        # no packed key is negative, so a product with a hole outside the
-        # window is a packed product mismatch
-        exc = e.exceptions
-        if exc and not self.low <= exc.min() <= exc.max() < self.low + self.width:
-            return -1
-        return self._layout(self.parts(e))
+        return ((a + self.koff) << (self.width + 1)) | (r << self.width) | m
 
     def _mirror(self, m):
         # bit b -> bit width-1-b: the int window reflected about 0
@@ -307,7 +290,8 @@ class _Pairwise:
     """Chunk over pairs (x, y) of universe elements with x in rows [lo, hi).
 
     ``check(xv, yv, pv, counters)`` gets ``each(x)``, ``each(y)`` and
-    ``each(p)`` for p = x * y from the product table, and yields one item per
+    ``each(p)`` for p = x * y from the chunk's product table, so ``each``
+    runs once per element and distinct product, and yields one item per
     instance it checks: None, or the failure's fields besides ``inputs``.
     ``each`` values are hashable, and values that compare equal give equal
     check items and counts: the check runs once per distinct value triple,
@@ -354,25 +338,32 @@ class _Pairwise:
 
 
 def _assoc_chunk(spec, elems, lo, hi, log, counters):
+    # What is checked: the library's compose on the pairs U x U of universe
+    # elements, through the cross-check, and the packed formula on every
+    # triple.  The library's compose of a pair product q with an element
+    # (Q x U and U x Q) is never run, so a compose that is wrong only there
+    # passes; tests/test_harness.py pins such a fault as a known gap.
     n = len(elems)
     vec = _Vec(spec)
     arrays = vec.pack(elems)
     cols = tuple(x[None, :] for x in arrays)
     pairwise = vec.compose(tuple(x[:, None] for x in arrays), cols)
     pair_keys = vec.key(pairwise)
-    # cross-check the packed composition against the real one, keying each
-    # distinct product once
-    ids, objs = _product_rows(spec, lo, hi)
-    obj_keys = np.array([vec.obj_key(p) for p in objs], dtype=vec.dtype)
-    for i, j in np.argwhere(obj_keys[ids] != pair_keys[lo:hi]):
-        log.add({"inputs": _objs(elems[lo + i], elems[j]),
-                 "check": "packed product mismatch"})
-    counters["pair_checks"] += (hi - lo) * n
     # Keys are injective, so every triple product goes through one of the
     # distinct pair products q: (x_i y_j) z_k = pz[idx[i, j], k] and
     # x_i (y_j z_k) = xq[i, idx[j, k]].
-    _, first, idx = np.unique(pair_keys, return_index=True, return_inverse=True)
+    keys, first, idx = np.unique(pair_keys, return_index=True, return_inverse=True)
     idx = idx.reshape(n, n)
+    # the cross-check: each distinct packed product is decoded once and
+    # looked up among the chunk's products, -1 where none equals it (as for
+    # a product with a hole outside the window)
+    ids, objs = _product_rows(spec, lo, hi)
+    where = {p: k for k, p in enumerate(objs)}
+    packed = np.array([where.get(vec.decode(key), -1) for key in keys.tolist()])
+    for i, j in np.argwhere(packed[idx[lo:hi]] != ids):
+        log.add({"inputs": _objs(elems[lo + i], elems[j]),
+                 "check": "packed product mismatch"})
+    counters["pair_checks"] += (hi - lo) * n
     prods = tuple(x.reshape(-1)[first] for x in pairwise)
     del pairwise, pair_keys  # n * n arrays; only the distinct products are used now
     # No array exceeds the budget: pz holds the distinct products of a block
@@ -571,16 +562,9 @@ def _cor212_row(i, g, homs, counters):
     counters["z2_reflections" if homs[1].unit.reflect else "z2_identities"] += 1
 
 
-@lru_cache(maxsize=None)
-def _image_product(hg, hd, mul):
-    # the images take a handful of values, so each pair is composed once;
-    # keyed on the product in force too, so a replaced compose gets its own
-    return mul(hg, hd)
-
-
 def _cor212_check(g_homs, d_homs, p_homs, counters):
     for hom, hg, hd, hp in zip(("translation", "z2"), g_homs, d_homs, p_homs):
-        yield None if hp == _image_product(hg, hd, type(hg).__mul__) else {"hom": hom}
+        yield None if hp == hg * hd else {"hom": hom}
 
 
 def _cor212_finalize(spec, counters):
