@@ -229,8 +229,8 @@ class _Vec:
         self.dtype = np.int64 if self.key_bits <= 63 else object
 
     def parts(self, e) -> tuple:
-        a, r = (e.shift, 0) if self.nat else (e.unit.a, int(e.unit.reflect))
-        return a, r, sum(1 << (x - self.low) for x in e.exceptions)
+        a, r, holes = (e.shift, 0, e.exceptions) if self.nat else e.key
+        return a, int(r), sum(1 << (x - self.low) for x in holes)
 
     def pack(self, elems):
         return tuple(np.array(col, dtype=self.dtype)

@@ -27,15 +27,16 @@ class FiniteTailMap:
     """Cofinite partial bijection of the integers with shift tails.
 
     ``x -> x + neg_shift`` for ``x <= neg_threshold``, ``x -> x + pos_shift``
-    for ``x >= pos_threshold``, an explicit finite ``middle`` in between, and
-    holes elsewhere.  Instances are canonical: middle pairs that agree with a
-    tail rule are absorbed into the tail, and a map that is a single total
-    shift is stored with thresholds (0, 1).  Structural equality therefore
-    coincides with equality of maps.
+    for ``x >= pos_threshold``, an explicit finite middle in between, and
+    holes elsewhere.  The middle is stored once, as a dict from input to
+    image; ``middle`` is its sorted view, built on each access.  Instances
+    are canonical: middle pairs that agree with a tail rule are absorbed into
+    the tail, and a map that is a single total shift is stored with
+    thresholds (0, 1).  Structural equality therefore coincides with
+    equality of maps.
     """
 
-    __slots__ = ("neg_threshold", "neg_shift", "pos_threshold", "pos_shift",
-                 "middle", "_mid")
+    __slots__ = ("neg_threshold", "neg_shift", "pos_threshold", "pos_shift", "_mid")
 
     def __init__(self, neg_threshold: int, neg_shift: int,
                  pos_threshold: int, pos_shift: int,
@@ -51,17 +52,14 @@ class FiniteTailMap:
                 raise ValueError(f"duplicate middle input {x}")
             pairs[x] = y
 
-        changed = True
-        while changed:
-            changed = False
-            if nt + 1 < pt and pairs.get(nt + 1) == nt + 1 + ns:
-                del pairs[nt + 1]
-                nt += 1
-                changed = True
-            if pt - 1 > nt and pairs.get(pt - 1) == pt - 1 + ps:
-                del pairs[pt - 1]
-                pt -= 1
-                changed = True
+        # absorb into each tail the run of middle pairs that continues it;
+        # trimming one tail never lets the other absorb more
+        while nt + 1 < pt and pairs.get(nt + 1) == nt + 1 + ns:
+            del pairs[nt + 1]
+            nt += 1
+        while pt - 1 > nt and pairs.get(pt - 1) == pt - 1 + ps:
+            del pairs[pt - 1]
+            pt -= 1
         if not pairs and pt == nt + 1 and ns == ps:
             nt, pt = 0, 1
 
@@ -78,24 +76,27 @@ class FiniteTailMap:
 
         self.neg_threshold, self.neg_shift = nt, ns
         self.pos_threshold, self.pos_shift = pt, ps
-        self.middle = tuple(sorted(pairs.items()))
         self._mid = pairs
 
-    def _key(self):
-        return (self.neg_threshold, self.neg_shift,
-                self.pos_threshold, self.pos_shift, self.middle)
+    @property
+    def middle(self) -> tuple[tuple[int, int], ...]:
+        """The middle pairs ``(x, image)``, sorted by input."""
+        return tuple(sorted(self._mid.items()))
+
+    def _tails(self):
+        return self.neg_threshold, self.neg_shift, self.pos_threshold, self.pos_shift
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FiniteTailMap):
-            return self._key() == other._key()
+            return self._tails() == other._tails() and self._mid == other._mid
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((*self._tails(), self.middle))
 
     def __repr__(self) -> str:
         return ("FiniteTailMap(neg=({0}, {1}), pos=({2}, {3}), middle={4})"
-                .format(*self._key()))
+                .format(*self._tails(), self.middle))
 
     def apply(self, x: int) -> int | None:
         if x <= self.neg_threshold:

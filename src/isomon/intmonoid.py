@@ -8,12 +8,11 @@ An element is stored written out, the way a nat element is: as one key
 tuple ``(a, reflect, holes)``, the unit x -> x + a (or x -> a - x when
 ``reflect``) and the sorted tuple of holes, with the key's hash computed
 once.  Equality and hash are on the key.  ``.unit`` (a ``ZIsometry``) and
-``.exceptions`` (a ``FiniteIntSet``) are views, built on first access and
-kept, unless the constructor was given them.  Composition and inversion are
-integer arithmetic on the parts: the right operand's holes are pulled back
-in order, which a translation keeps and a reflection reverses, and merged
-with the left holes; no ``ZIsometry`` or ``FiniteIntSet`` is built for the
-product.
+``.exceptions`` (a ``FiniteIntSet``) are views, built from the key on each
+access.  Composition and inversion are integer arithmetic on the parts: the
+right operand's holes are pulled back in order, which a translation keeps
+and a reflection reverses, and merged with the left holes; no ``ZIsometry``
+or ``FiniteIntSet`` is built for the product.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ _set = object.__setattr__
 # repr are written out, and both fields are read through their views.
 @dataclass(frozen=True, init=False, repr=False, eq=False)
 class IntIsometry:
-    __slots__ = ("key", "_hash", "_unit", "_exceptions")
+    __slots__ = ("key", "_hash")
 
     unit: ZIsometry
     exceptions: FiniteIntSet
@@ -56,26 +55,16 @@ class IntIsometry:
         key = (unit.a, unit.reflect, exceptions.items)
         _set(self, "key", key)
         _set(self, "_hash", hash(key))
-        _set(self, "_unit", unit)
-        _set(self, "_exceptions", exceptions)
 
     @property
     def unit(self) -> ZIsometry:
         """The unit above the element, its extension to the whole line."""
-        view = self._unit
-        if view is None:
-            view = ZIsometry(self.key[0], self.key[1])
-            _set(self, "_unit", view)
-        return view
+        return ZIsometry(self.key[0], self.key[1])
 
     @property
     def exceptions(self) -> FiniteIntSet:
         """Every point outside the domain: the holes."""
-        view = self._exceptions
-        if view is None:
-            view = FiniteIntSet._from_sorted(self.key[2])
-            _set(self, "_exceptions", view)
-        return view
+        return FiniteIntSet._from_sorted(self.key[2])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntIsometry):
@@ -133,8 +122,6 @@ def _make(a: int, reflect: bool, holes: tuple) -> IntIsometry:
     key = (a, reflect, holes)
     _set(g, "key", key)
     _set(g, "_hash", hash(key))
-    _set(g, "_unit", None)
-    _set(g, "_exceptions", None)
     return g
 
 

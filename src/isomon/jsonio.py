@@ -11,10 +11,11 @@ from .natmonoid import NatIsometry
 
 def element_to_obj(e: NatIsometry | IntIsometry) -> dict:
     if isinstance(e, NatIsometry):
-        return {"kind": "nat", "shift": e.shift, "exceptions": list(e.exceptions)}
+        return {"kind": "nat", "shift": e.shift,
+                "exceptions": [*range(1, e.prefix + 1), *e.holes]}
     if isinstance(e, IntIsometry):
-        return {"kind": "int", "a": e.unit.a, "reflect": e.unit.reflect,
-                "exceptions": list(e.exceptions)}
+        a, reflect, holes = e.key
+        return {"kind": "int", "a": a, "reflect": reflect, "exceptions": list(holes)}
     raise TypeError(f"not a monoid element: {e!r}")
 
 
@@ -30,7 +31,10 @@ def element_from_obj(obj: dict) -> NatIsometry | IntIsometry:
         kind = obj["kind"]
         if kind not in ("nat", "int"):
             raise ValueError(f"unknown element kind {kind!r}")
-        exc = FiniteIntSet([_integer(x) for x in obj["exceptions"]])
+        items = obj["exceptions"]
+        if not isinstance(items, list):
+            raise ValueError(f"exceptions: expected a JSON array, got {items!r}")
+        exc = FiniteIntSet([_integer(x) for x in items])
         if kind == "nat":
             return NatIsometry(_integer(obj["shift"]), exc)
         reflect = obj["reflect"]

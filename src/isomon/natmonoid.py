@@ -11,8 +11,8 @@ the remaining, sparse holes, all above k + 1.  Composition and inversion
 are prefix arithmetic plus a merge of the sparse holes, so their cost
 tracks the number of sparse holes and not the size of the coordinates; the
 markers, the gap and the bicyclic normal form take constant time.  The
-full exception set is a view, built on first access, so only what lists
-the holes pays for the prefix.
+full exception set is a view, built from the stored parts on each access,
+so only what lists the holes pays for the prefix.
 
 The monoid carries four derived quantities per element (its markers): the
 least point of the domain, the least point from which the domain is a
@@ -60,7 +60,7 @@ def _run_end(items: tuple, i: int, first: int) -> int:
 # repr are written out, and ``exceptions`` is read through its view.
 @dataclass(frozen=True, init=False, repr=False, eq=False)
 class NatIsometry:
-    __slots__ = ("shift", "prefix", "holes", "_exceptions")
+    __slots__ = ("shift", "prefix", "holes")
 
     shift: int
     exceptions: FiniteIntSet
@@ -77,18 +77,13 @@ class NatIsometry:
         _set(self, "shift", shift)
         _set(self, "prefix", k)
         _set(self, "holes", items[k:])
-        _set(self, "_exceptions", exceptions)
 
     @property
     def exceptions(self) -> FiniteIntSet:
         """Every point outside the domain: the prefix 1..k and the holes.
 
-        Built on first access and kept, so it costs O(prefix + holes) once."""
-        view = self._exceptions
-        if view is None:
-            view = FiniteIntSet._from_sorted((*range(1, self.prefix + 1), *self.holes))
-            _set(self, "_exceptions", view)
-        return view
+        Built on each access, so it costs O(prefix + holes) each time."""
+        return FiniteIntSet._from_sorted((*range(1, self.prefix + 1), *self.holes))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, NatIsometry):
@@ -156,7 +151,6 @@ def _make(shift: int, prefix: int, holes: tuple) -> NatIsometry:
     _set(g, "shift", shift)
     _set(g, "prefix", prefix)
     _set(g, "holes", holes)
-    _set(g, "_exceptions", None)
     return g
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from isomon import cli
 from isomon.cli import _worker_count, main
+from isomon.jsonio import element_from_obj
 
 
 def run(capsys, *argv):
@@ -230,6 +231,26 @@ def test_element_wire_format_is_strict(tmp_path, capsys, obj):
     rc, out, err = run(capsys, "sigma", write_element(tmp_path, "g.json", obj))
     assert rc == 1 and out == ""
     assert err.startswith("isomon: expected a JSON ")
+
+
+@pytest.mark.parametrize("exceptions", ["", {}, "12", 5],
+                         ids=["empty-string", "object", "digit-string", "int"])
+def test_element_from_obj_refuses_exceptions_that_are_not_an_array(exceptions):
+    for obj in ({"kind": "nat", "shift": 2, "exceptions": exceptions},
+                {"kind": "int", "a": 0, "reflect": False, "exceptions": exceptions}):
+        with pytest.raises(ValueError, match="^exceptions: expected a JSON array, got "):
+            element_from_obj(obj)
+
+
+def test_compose_refuses_exceptions_that_are_not_an_array(tmp_path, capsys):
+    good = write_element(tmp_path, "g.json", {"kind": "nat", "shift": 2, "exceptions": []})
+    for i, bad in enumerate(("", {})):
+        path = write_element(tmp_path, f"bad{i}.json",
+                             {"kind": "nat", "shift": 2, "exceptions": bad})
+        for argv in ((path, good), (good, path)):
+            rc, out, err = run(capsys, "compose", *argv)
+            assert rc == 1 and out == ""
+            assert err == f"isomon: exceptions: expected a JSON array, got {bad!r}\n"
 
 
 def test_check_rejects_unknown_suite(capsys):

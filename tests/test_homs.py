@@ -1,6 +1,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from isomon import (FiniteIntSet, FiniteTailMap, IntIsometry, NatIsometry,
                     ZIsometry, eps_conjugation, extend_in, gen_a, gen_b,
@@ -10,6 +12,35 @@ from isomon.homs import IDENTITY_MAP
 from isomon.natmonoid import identity
 
 SMALL = enumerate_universe(UniverseSpec("nat", 3, 1))
+
+
+@st.composite
+def tail_maps(draw, tails=None):
+    """A small valid map: thresholds in -6..11, shifts in -4..4 (or the given
+    ``(neg_threshold, neg_shift, pos_threshold, pos_shift)``), and each middle
+    image either absent, a tail rule's image or any free value."""
+    if tails is None:
+        nt = draw(st.integers(-6, 10))
+        pt = draw(st.integers(nt + 1, 11))
+        ns = draw(st.integers(-4, 4))
+        ps = draw(st.integers(max(-4, nt + ns - pt + 1), 4))  # tail ranges apart
+    else:
+        nt, ns, pt, ps = tails
+    free = set(range(nt + ns + 1, pt + ps))
+    middle = []
+    for x in range(nt + 1, pt):
+        y = draw(st.sampled_from((None, x + ns, x + ps, *range(nt + ns + 1, pt + ps))))
+        if y in free:
+            free.remove(y)
+            middle.append((x, y))
+    return FiniteTailMap(nt, ns, pt, ps, middle)
+
+
+def window(f, g):
+    """From 12 below both maps' thresholds to 12 above them: beyond it both
+    maps follow their tails, so agreeing on it is agreeing everywhere."""
+    return range(min(f.neg_threshold, g.neg_threshold) - 12,
+                 max(f.pos_threshold, g.pos_threshold) + 13)
 
 
 class TestFiniteTailMap:
@@ -56,6 +87,35 @@ class TestFiniteTailMap:
         f = extend_in(NatIsometry(2, FiniteIntSet([1, 3])), -1)
         assert f * IDENTITY_MAP == f
         assert IDENTITY_MAP * f == f
+
+    @given(tail_maps(), st.data(), st.integers(0, 3), st.integers(0, 3))
+    def test_structural_equality_is_map_equality(self, f, data, below, above):
+        nt, ns, pt, ps = f.neg_threshold, f.neg_shift, f.pos_threshold, f.pos_shift
+        # another map, often with f's tails and another middle
+        g = data.draw(st.one_of(tail_maps(), tail_maps((nt, ns, pt, ps))))
+        # f written with its tails pushed outwards is the same map
+        wide = FiniteTailMap(nt - below, ns, pt + above, ps, [
+            *f.middle, *((x, x + ns) for x in range(nt - below + 1, nt + 1)),
+            *((x, x + ps) for x in range(pt, pt + above))])
+        for h in (g, wide):
+            agree = all(f.apply(x) == h.apply(x) for x in window(f, h))
+            assert (f == h) == agree
+            if agree:
+                assert hash(f) == hash(h)
+        assert f == wide
+
+    @given(tail_maps())
+    def test_middle_is_sorted_and_rebuilds_the_map(self, f):
+        assert list(f.middle) == sorted(f.middle)
+        assert FiniteTailMap(f.neg_threshold, f.neg_shift, f.pos_threshold,
+                             f.pos_shift, f.middle) == f
+
+    @given(tail_maps(), tail_maps())
+    def test_compose_applies_left_then_right(self, f, g):
+        fg = f * g
+        for x in window(f, g):
+            y = f.apply(x)
+            assert fg.apply(x) == (None if y is None else g.apply(y))
 
     def test_monotone(self):
         assert IDENTITY_MAP.is_monotone()
