@@ -124,7 +124,7 @@ def _worker_count(jobs: int) -> int:
 
 
 def _cmd_check(args) -> int:
-    names = harness.suite_names() if args.all or not args.suite else args.suite
+    names = list(harness.SUITES) if args.all or not args.suite else args.suite
     jobs = _worker_count(args.jobs)
     reports = harness.run_selected(names, args.bound, args.shift_bound, jobs)
     if args.format == "json":
@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_refute_fg)
 
     p = sub.add_parser("check", help="run verification suites")
-    p.add_argument("--suite", action="append", choices=harness.suite_names(),
+    p.add_argument("--suite", action="append", choices=list(harness.SUITES),
                    help="suite to run (repeatable); default is all")
     p.add_argument("--all", action="store_true", help="run every suite")
     p.add_argument("--bound", type=_decimal, default=None,

@@ -20,7 +20,8 @@ from typing import Iterable, Sequence
 from .intsets import FiniteIntSet
 from .isoz import ZIsometry
 from .intmonoid import IntIsometry
-from .natmonoid import NatIsometry, gen_a, gen_b, gen_e, identity
+from .natmonoid import NatIsometry
+from .words import Token, Word, evaluate
 
 
 class FiniteTailMap:
@@ -160,13 +161,8 @@ def eps_conjugation(k: int, l: int) -> NatIsometry:
     """Evaluate a^(k-l) e[k] b^(k-l); the result equals the hole map e[l]."""
     if not 2 <= l < k:
         raise ValueError(f"need 2 <= l < k, got l={l}, k={k}")
-    out = identity()
-    for _ in range(k - l):
-        out = out * gen_a()
-    out = out * gen_e(k)
-    for _ in range(k - l):
-        out = out * gen_b()
-    return out
+    m = k - l
+    return evaluate(Word([Token("a", m), Token("e", 1, k), Token("b", m)]))
 
 
 @dataclass(frozen=True)

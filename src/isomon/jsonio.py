@@ -34,7 +34,13 @@ def element_from_obj(obj: dict) -> NatIsometry | IntIsometry:
         items = obj["exceptions"]
         if not isinstance(items, list):
             raise ValueError(f"exceptions: expected a JSON array, got {items!r}")
-        exc = FiniteIntSet([_integer(x) for x in items])
+        values = [_integer(x) for x in items]
+        # the canonical form only: a set that sorting or deduplication would
+        # change is refused, not coerced
+        if values != sorted(set(values)):
+            raise ValueError(
+                f"exceptions: expected strictly increasing integers, got {items!r}")
+        exc = FiniteIntSet._from_sorted(tuple(values))
         if kind == "nat":
             return NatIsometry(_integer(obj["shift"]), exc)
         reflect = obj["reflect"]

@@ -14,6 +14,7 @@ empty word prints as ``"I"``.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, NamedTuple
 
 from .natmonoid import Bicyclic, NatIsometry, from_bicyclic, gen_e, identity
@@ -84,54 +85,48 @@ class Word:
         return format_word(self)
 
 
+# One term at a time, each matched at the current offset.  A term is a
+# generator, or 'e' with each later part of "[index]" optional, so that a
+# missing group tells which error it is; digits are ASCII only.
+_TERM = re.compile(r"([abI])|e(\[([0-9]*)(\])?)?")
+_EXP = re.compile(r"\^([0-9]*)")
+
+
 def parse(text: str) -> Word:
     """Parse a word; syntax errors carry the byte offset of the offending spot."""
     i = 0
-    n = len(text)
     tokens: list[Token] = []
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
+    while i < len(text):
+        if text[i].isspace():
             i += 1
             continue
-        if ch in ("a", "b"):
-            kind, index = ch, 0
-            i += 1
-        elif ch == "I":
-            kind, index = "", 0
-            i += 1
-        elif ch == "e":
-            if i + 1 >= n or text[i + 1] != "[":
+        term = _TERM.match(text, i)
+        if term is None:
+            raise WordSyntaxError(f"unexpected character {text[i]!r}", i)
+        gen, bracket, digits, close = term.groups()
+        if gen is None:
+            if bracket is None:
                 raise WordSyntaxError("expected '[' after 'e'", i + 1)
-            j = i + 2
-            start = j
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            if j == start:
-                raise WordSyntaxError("expected a hole index", start)
-            if j >= n or text[j] != "]":
-                raise WordSyntaxError("expected ']'", j)
-            index = int(text[start:j])
+            if not digits:
+                raise WordSyntaxError("expected a hole index", term.start(3))
+            if close is None:
+                raise WordSyntaxError("expected ']'", term.end(3))
+            index = int(digits)
             if index < 2:
-                raise WordSyntaxError(f"hole index must be >= 2, got {index}", start)
-            kind = "e"
-            i = j + 1
-        else:
-            raise WordSyntaxError(f"unexpected character {ch!r}", i)
+                raise WordSyntaxError(f"hole index must be >= 2, got {index}", term.start(3))
+        i = term.end()
         exp = 1
-        if i < n and text[i] == "^":
-            j = i + 1
-            start = j
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            if j == start:
-                raise WordSyntaxError("expected an exponent", start)
-            exp = int(text[start:j])
+        if power := _EXP.match(text, i):
+            if not power[1]:
+                raise WordSyntaxError("expected an exponent", power.start(1))
+            exp = int(power[1])
             if exp < 1:
-                raise WordSyntaxError("exponent must be positive", start)
-            i = j
-        if kind:
-            tokens.append(Token(kind, exp, index))
+                raise WordSyntaxError("exponent must be positive", power.start(1))
+            i = power.end()
+        if gen is None:
+            tokens.append(Token("e", exp, index))
+        elif gen != "I":
+            tokens.append(Token(gen, exp))
     return Word(tokens)
 
 

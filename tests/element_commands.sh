@@ -1,6 +1,6 @@
 #!/bin/sh
-# Run the isomon element commands on fixed JSON inputs and print, for each,
-# the command, its standard output and its exit code.
+# Run the isomon element commands on fixed inputs and print, for each, the
+# command, its standard output and standard error, and its exit code.
 #
 # isomon is imported from PYTHONPATH (one directory), so the same script
 # can run against two trees and the outputs be compared byte for byte:
@@ -36,10 +36,14 @@ cat > gens.json <<'EOF'
  {"kind": "nat", "shift": 0, "exceptions": [2, 5]},
  {"kind": "nat", "shift": 2, "exceptions": [1, 3, 4]}]
 EOF
+cat > int-gens.json <<'EOF'
+[{"kind": "nat", "shift": 1, "exceptions": []},
+ {"kind": "int", "a": -1, "reflect": false, "exceptions": [-2, 5]}]
+EOF
 
 run() {
     printf '$ isomon %s\n' "$*"
-    python -m isomon.cli "$@"
+    python -m isomon.cli "$@" 2>&1
     echo "exit $?"
 }
 
@@ -54,3 +58,14 @@ run order --a 3 --reflect
 run extend --n -2 word.json
 run extend --n -2 nat-left.json
 run refute-fg gens.json
+
+# error paths, each an "isomon: " message and exit 1, and two words that
+# parse though they look malformed (I^3 a, e[007]^02 a)
+for word in "e3" "e[" "e[]" "e[12 b" "e[1]" "a^" "a^0" "a b?" "I^3 a" "e[007]^02 a"; do
+    run eval "$word"
+done
+run decompose int-left.json
+run extend int-left.json
+run extend --n 1 word.json
+run compose nat-left.json int-right.json
+run refute-fg int-gens.json

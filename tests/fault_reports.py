@@ -78,7 +78,7 @@ def main():
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
     inject_faults()
-    reports = harness.run_selected(harness.suite_names(), jobs=args.jobs)
+    reports = harness.run_selected(list(harness.SUITES), jobs=args.jobs)
     print(json.dumps([r.to_obj() for r in reports], indent=1))
 
 

@@ -233,6 +233,22 @@ def test_element_wire_format_is_strict(tmp_path, capsys, obj):
     assert err.startswith("isomon: expected a JSON ")
 
 
+@pytest.mark.parametrize("exceptions", [[3, 3, 2], [2, 1], [1, 1]],
+                         ids=["repeat-and-descend", "descend", "repeat"])
+def test_exceptions_must_be_strictly_increasing(tmp_path, capsys, exceptions):
+    message = f"exceptions: expected strictly increasing integers, got {exceptions!r}"
+    for i, obj in enumerate(({"kind": "nat", "shift": 0, "exceptions": exceptions},
+                             {"kind": "int", "a": 0, "reflect": False,
+                              "exceptions": exceptions})):
+        with pytest.raises(ValueError) as err:
+            element_from_obj(obj)
+        assert str(err.value) == message
+        path = write_element(tmp_path, f"g{i}.json", obj)
+        rc, out, err = run(capsys, "compose", path, path)
+        assert rc == 1 and out == ""
+        assert err == f"isomon: {message}\n"
+
+
 @pytest.mark.parametrize("exceptions", ["", {}, "12", 5],
                          ids=["empty-string", "object", "digit-string", "int"])
 def test_element_from_obj_refuses_exceptions_that_are_not_an_array(exceptions):

@@ -11,8 +11,7 @@ from isomon import FiniteIntSet, IntIsometry, NatIsometry, ZIsometry, harness
 from isomon.harness import (_REPORT_FAIL_CAP, INT_DEFAULT, NAT_DEFAULT, SUITES,
                             UniverseSpec, _chunk_table, _product_rows, _universe,
                             _Vec, count_universe, default_specs,
-                            enumerate_universe, run_selected, run_suite,
-                            suite_names)
+                            enumerate_universe, run_selected, run_suite)
 from isomon.homs import hom_translation, hom_z2
 from isomon.jsonio import element_to_obj
 from isomon.natmonoid import is_bicyclic
@@ -84,7 +83,7 @@ def test_universe_spec_rejects_malformed_bounds(bounds):
 SMALL_BY_MONOID = {"nat": UniverseSpec("nat", 3, 1), "int": UniverseSpec("int", 1, 1)}
 
 
-@pytest.mark.parametrize("name", suite_names())
+@pytest.mark.parametrize("name", list(SUITES))
 def test_every_suite_passes_at_small_bounds(name):
     for monoid in SUITES[name].monoids:
         spec = SMALL_BY_MONOID[monoid]
@@ -268,6 +267,33 @@ def test_a_compose_wrong_only_on_pair_products_is_not_associative(monkeypatch):
 def test_assoc_reports_a_compose_wrong_only_on_pair_products(monkeypatch):
     _patch_int_compose(monkeypatch, _hole_zero_beyond_the_universe)
     assert not run_suite("assoc", GAP_SPEC).passed
+
+
+def _left_holes_after_odd_reflection(compose):
+    # a reflection meeting an odd number of holes keeps only the left holes,
+    # a fault inside the assoc window
+    def wrong(x, y):
+        p = compose(x, y)
+        if x.unit.reflect and len(y.exceptions) % 2:
+            return IntIsometry(p.unit, x.exceptions)
+        return p
+    return wrong
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_assoc_reports_a_library_fault_only_as_pair_mismatches(monkeypatch, jobs):
+    # the triple scan composes packed encodings, never the library, so a
+    # wrong library compose is reported once per wrong pair and no triple
+    # fails; a change that makes the triple scan run the library changes this
+    spec = SMALL_BY_MONOID["int"]
+    elems = _universe(spec)
+    compose = IntIsometry.compose
+    wrong = _left_holes_after_odd_reflection(compose)
+    wrong_pairs = sum(wrong(x, y) != compose(x, y) for x, y in product(elems, repeat=2))
+    _patch_int_compose(monkeypatch, _left_holes_after_odd_reflection)
+    report = run_suite("assoc", spec, jobs=jobs)
+    assert report.failure_count == wrong_pairs == 402
+    assert all(set(f) == {"inputs", "check"} for f in report.failures)
 
 
 def _far_hole(compose):
@@ -477,7 +503,7 @@ def test_run_selected_is_deterministic_when_workers_reuse_rows(monkeypatch, faul
         # they build for the later suites of the run
         _chunk_table.cache_clear()
         _universe.cache_clear()
-        reports = run_selected(suite_names(), bound=2, shift_bound=1, jobs=jobs)
+        reports = run_selected(list(SUITES), bound=2, shift_bound=1, jobs=jobs)
         runs.append([r.to_obj() for r in reports])
         assert not multiprocessing.active_children()
     assert runs[0] == runs[1] == runs[2]

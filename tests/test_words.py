@@ -19,30 +19,26 @@ def test_parse_examples():
     assert parse("a a") == Word([Token("a", 2)])
 
 
-def test_parse_errors_carry_offsets():
-    with pytest.raises(WordSyntaxError) as err:
-        parse("e[1]")
-    assert err.value.offset == 2
-    with pytest.raises(WordSyntaxError) as err:
-        parse("a^0")
-    assert err.value.offset == 2
-    with pytest.raises(WordSyntaxError) as err:
-        parse("a b?")
-    assert err.value.offset == 3
-    with pytest.raises(WordSyntaxError) as err:
-        parse("e[12 b")
-    assert err.value.offset == 4
-    with pytest.raises(WordSyntaxError) as err:
-        parse("e3")
-    assert err.value.offset == 1
-    with pytest.raises(WordSyntaxError) as err:
-        parse("a^")
-    assert err.value.offset == 2
+PARSE_ERRORS = [  # (text, message, offset)
+    ("e[1]", "hole index must be >= 2, got 1", 2),
+    ("a^0", "exponent must be positive", 2),
+    ("a b?", "unexpected character '?'", 3),
+    ("e[12 b", "expected ']'", 4),
+    ("e3", "expected '[' after 'e'", 1),
+    ("a^", "expected an exponent", 2),
     # only ASCII digits: str.isdigit also takes other scripts' digits
-    for text in ("a^\u0663 e[\u0664]", "a^\u00b2", "e[\u0664]"):
+    ("a^\u0663 e[\u0664]", "expected an exponent", 2),
+    ("a^\u00b2", "expected an exponent", 2),
+    ("e[\u0664]", "expected a hole index", 2),
+]
+
+
+def test_parse_errors_carry_offsets():
+    for text, message, offset in PARSE_ERRORS:
         with pytest.raises(WordSyntaxError) as err:
             parse(text)
-        assert err.value.offset == 2
+        assert err.value.offset == offset
+        assert str(err.value) == f"{message} (offset {offset})"
 
 
 def test_format_examples():
