@@ -19,7 +19,7 @@ from .intmonoid import HClassKind, hclass_group
 from .intsets import FiniteIntSet, symmetry_center
 from .isoz import ZIsometry
 from .jsonio import (element_from_obj, element_to_obj, half_integer_to_obj,
-                     isoz_to_obj, tailmap_to_obj, witness_to_obj)
+                     increasing_set, isoz_to_obj, tailmap_to_obj, witness_to_obj)
 from .natmonoid import NatIsometry
 from .words import decompose, decompose_filtered, evaluate, format_word, parse
 
@@ -52,7 +52,7 @@ def _parse_exceptions(text: str) -> FiniteIntSet:
         except argparse.ArgumentTypeError:
             raise ValueError(
                 f"--exceptions: {part!r} is not a decimal integer") from None
-    return FiniteIntSet(values)
+    return increasing_set(values, "--exceptions")
 
 
 def _cmd_eval(args) -> int:

@@ -13,9 +13,10 @@ through a value of each element and product, with an optional ``row`` check.
 Only the packed ``assoc`` scan is its own.
 
 Suites shard their instance sequence over contiguous chunks.  With
-``--jobs`` above 1, one set of worker processes lives for the whole
-``check`` run, and chunk c of every suite runs on worker c; the merge is
-order-preserving, which is the only synchronization point.
+``--jobs`` above 1, ``run_selected`` lists its suite runs first and starts
+worker c with chunk c of every run.  A worker runs its chunks in order and
+only sends results back; the parent sends it nothing after the start, and
+merges each run's chunks in chunk order.
 
 Every suite that composes pairs reads them from one product table per
 universe chunk and process (``_product_rows``): for each x in the chunk's
@@ -659,10 +660,18 @@ SUITES: dict[str, _Suite] = {
 }
 
 
-def default_specs(name: str) -> tuple[UniverseSpec, ...]:
+def _suite(name: str) -> _Suite:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name].defaults
+    return SUITES[name]
+
+
+def _chunks(name: str, spec: UniverseSpec, jobs: int) -> list:
+    """A run's tasks: its instances split into at most ``jobs`` contiguous chunks."""
+    total = len(SUITES[name].instances(spec))
+    parts = max(1, min(jobs, total))
+    return [(name, spec, total * c // parts, total * (c + 1) // parts)
+            for c in range(parts)]
 
 
 def _chunk_entry(args):
@@ -678,99 +687,87 @@ class _RemoteTraceback(Exception):
     """The traceback text of an exception raised in a worker process."""
 
 
-def _serve(conn):
-    """A worker's loop: run each chunk task received and reply with
-    ``(result, None)`` or ``(None, (exception, traceback text))``; stop at None.
+def _serve(conn, tasks):
+    """A worker: run ``tasks`` in order and send ``(result, None)`` for each,
+    or ``(None, (exception, traceback text))`` for the first that raises, and
+    stop there.
 
-    An exception that does not survive pickling is replied as a RuntimeError
+    An exception that does not survive pickling is sent as a RuntimeError
     naming its type and message.
     """
-    while (task := conn.recv()) is not None:
+    for task in tasks:
         try:
-            reply = _chunk_entry(task), None
+            result = _chunk_entry(task)
         except Exception as exc:
             error, tb = exc, traceback.format_exc()
             try:
                 pickle.loads(pickle.dumps(exc))
             except Exception:
                 error = RuntimeError(f"{type(exc).__name__}: {exc}")
-            reply = None, (error, tb)
-        conn.send(reply)
+            conn.send((None, (error, tb)))
+            return
+        conn.send((result, None))
 
 
-# (process, connection) per worker of the run in progress, else None
-_workers: list | None = None
+# the result pipe of each worker of the run in progress, else None
+_results: list | None = None
 
 
 @contextlib.contextmanager
-def _worker_set(count: int):
-    """The workers of the run in progress, or ``count`` new ones for the block.
+def _worker_set(plans: list):
+    """Worker c runs chunk c of every run's tasks in ``plans``, in order.
 
-    New workers are stopped and joined when the block ends, and terminated
-    first if it raises, so none outlives the run.
+    Every worker is terminated and joined when the block ends: after an
+    error, some may still be running later runs.
     """
-    # Plain processes on pipes: chunk affinity needs a Pool(1) or a process
-    # pool executor per worker, and those fork later workers while earlier
-    # pools' threads run.  Both, prototyped, were 40 lines shorter but slower
-    # on 2 vCPU: check --all --jobs 2 medians 1.312/1.295 s vs 1.245/1.254 s.
-    global _workers
-    if _workers is not None:
-        yield _workers
-        return
-    workers = []
+    # Plain processes on one-way pipes: results must arrive per run, so that
+    # run_suite can report and time each run, and a Pool returns a worker's
+    # results only when its call ends.
+    global _results
+    procs, conns = [], []
     try:
-        for _ in range(count):
-            conn, child = multiprocessing.Pipe()
-            proc = multiprocessing.Process(target=_serve, args=(child,), daemon=True)
+        for c in range(max(map(len, plans), default=0)):
+            conn, child = multiprocessing.Pipe(duplex=False)
+            tasks = [plan[c] for plan in plans if c < len(plan)]
+            proc = multiprocessing.Process(target=_serve, args=(child, tasks), daemon=True)
             proc.start()
             child.close()
-            workers.append((proc, conn))
-        _workers = workers
-        yield workers
-    except BaseException:
-        for proc, _ in workers:
-            proc.terminate()
-        raise
+            procs.append(proc)
+            conns.append(conn)
+        _results = conns
+        yield
     finally:
-        _workers = None
-        for proc, conn in workers:
-            with contextlib.suppress(OSError):
-                conn.send(None)
+        _results = None
+        for proc in procs:
+            proc.terminate()
             proc.join()
+        for conn in conns:
             conn.close()
 
 
-def _map(workers, tasks):
-    """Chunk c on worker c; the results in chunk order, or the first failed
-    chunk's exception once every worker has replied."""
-    used = workers[:len(tasks)]
-    for (_, conn), task in zip(used, tasks, strict=True):
-        conn.send(task)
-    replies = [conn.recv() for _, conn in used]
-    for _, error in replies:
-        if error is not None:
-            exc, tb = error
-            raise exc from _RemoteTraceback(tb)
-    return [result for result, _ in replies]
-
-
 def run_suite(name: str, spec: UniverseSpec, jobs: int = 1) -> SuiteReport:
-    """Run one named suite over the given universe; deterministic for any jobs."""
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}")
-    suite = SUITES[name]
+    """Run one named suite over the given universe; deterministic for any jobs.
+
+    Inside :func:`run_selected` the chunks come from its workers, which must
+    run this suite's chunks next.
+    """
+    suite = _suite(name)
     if spec.monoid not in suite.monoids:
         raise ValueError(f"suite {name!r} does not apply to the {spec.monoid} monoid")
     start = time.perf_counter()
-    total = len(suite.instances(spec))
-    parts_count = max(1, min(jobs, total))
-    tasks = [(name, spec, total * c // parts_count, total * (c + 1) // parts_count)
-             for c in range(parts_count)]
-    if parts_count == 1:
+    tasks = _chunks(name, spec, jobs)
+    if _results is None and len(tasks) == 1:
         parts = [_chunk_entry(tasks[0])]
     else:
-        with _worker_set(parts_count) as workers:
-            parts = _map(workers, tasks)
+        parts = []
+        with _worker_set([tasks]) if _results is None else contextlib.nullcontext():
+            # in chunk order, so the first error raised is the first failed chunk's
+            for conn in _results[:len(tasks)]:
+                result, error = conn.recv()
+                if error is not None:
+                    exc, tb = error
+                    raise exc from _RemoteTraceback(tb)
+                parts.append(result)
     instances = 0
     failures: list = []
     failure_total = 0
@@ -793,16 +790,14 @@ def run_selected(names: list[str], bound: int | None = None,
                  shift_bound: int | None = None, jobs: int = 1) -> list[SuiteReport]:
     """Run suites over their default universes, with optional bound overrides.
 
-    With ``jobs`` above 1 the worker processes are started once for the whole
-    call, so each keeps the product rows of its chunks for later suites.
+    With ``jobs`` above 1, worker c is started with chunk c of every run, so
+    each keeps the product rows of its chunks for later suites.
     """
-    reports = []
-    with _worker_set(jobs) if jobs > 1 else contextlib.nullcontext():
-        for name in names:
-            for spec in default_specs(name):
-                if bound is not None:
-                    spec = UniverseSpec(spec.monoid, bound, spec.shift_bound)
-                if shift_bound is not None:
-                    spec = UniverseSpec(spec.monoid, spec.exception_bound, shift_bound)
-                reports.append(run_suite(name, spec, jobs))
-    return reports
+    runs = [(name, UniverseSpec(
+                spec.monoid,
+                spec.exception_bound if bound is None else bound,
+                spec.shift_bound if shift_bound is None else shift_bound))
+            for name in names for spec in _suite(name).defaults]
+    with (_worker_set([_chunks(name, spec, jobs) for name, spec in runs])
+          if jobs > 1 else contextlib.nullcontext()):
+        return [run_suite(name, spec, jobs) for name, spec in runs]

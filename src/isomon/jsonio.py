@@ -26,6 +26,15 @@ def _integer(value) -> int:
     return value
 
 
+def increasing_set(values: list, field: str) -> FiniteIntSet:
+    """The set of ``values``, a list of ints, refused unless strictly
+    increasing: a list that sorting or deduplication would change is not
+    coerced.  ``field`` names the input in the error message."""
+    if values != sorted(set(values)):
+        raise ValueError(f"{field}: expected strictly increasing integers, got {values!r}")
+    return FiniteIntSet._from_sorted(tuple(values))
+
+
 def element_from_obj(obj: dict) -> NatIsometry | IntIsometry:
     try:
         kind = obj["kind"]
@@ -34,13 +43,7 @@ def element_from_obj(obj: dict) -> NatIsometry | IntIsometry:
         items = obj["exceptions"]
         if not isinstance(items, list):
             raise ValueError(f"exceptions: expected a JSON array, got {items!r}")
-        values = [_integer(x) for x in items]
-        # the canonical form only: a set that sorting or deduplication would
-        # change is refused, not coerced
-        if values != sorted(set(values)):
-            raise ValueError(
-                f"exceptions: expected strictly increasing integers, got {items!r}")
-        exc = FiniteIntSet._from_sorted(tuple(values))
+        exc = increasing_set([_integer(x) for x in items], "exceptions")
         if kind == "nat":
             return NatIsometry(_integer(obj["shift"]), exc)
         reflect = obj["reflect"]

@@ -54,6 +54,10 @@ run decompose word.json
 run decompose --k 6 word.json
 run sigma int-left.json
 run hclass --exceptions=-1,3
+run hclass --exceptions ""
+run hclass --exceptions " -1 , +3 "
+run hclass --exceptions 0,x
+run hclass --exceptions 0,2,3
 run order --a 3 --reflect
 run extend --n -2 word.json
 run extend --n -2 nat-left.json

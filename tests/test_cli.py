@@ -114,6 +114,18 @@ def test_hclass_refuses_non_decimal_exceptions(capsys, text):
     assert err.startswith("isomon: --exceptions:")
 
 
+@pytest.mark.parametrize("text, values", [("3,3,0", [3, 3, 0]), ("3,0", [3, 0]),
+                                          ("1,1", [1, 1])],
+                         ids=["repeat-and-descend", "descend", "repeat"])
+def test_hclass_exceptions_must_be_strictly_increasing(capsys, text, values):
+    rc, out, err = run(capsys, "hclass", "--exceptions", text)
+    assert rc == 1 and out == ""
+    assert err == ("isomon: --exceptions: expected strictly increasing integers, "
+                   f"got {values!r}\n")
+    rc, out, _ = run(capsys, "hclass", "--exceptions", "0,3")
+    assert rc == 0 and json.loads(out) == {"group": "Z2", "center": {"doubled": 3}}
+
+
 @pytest.mark.parametrize("text", ["\u0663", "1_0", "\uff13", "3\u00a0"])
 @pytest.mark.parametrize("argv", [
     ("order", "--a", "{}"),

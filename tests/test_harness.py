@@ -10,8 +10,8 @@ import pytest
 from isomon import FiniteIntSet, IntIsometry, NatIsometry, ZIsometry, harness
 from isomon.harness import (_REPORT_FAIL_CAP, INT_DEFAULT, NAT_DEFAULT, SUITES,
                             UniverseSpec, _chunk_table, _product_rows, _universe,
-                            _Vec, count_universe, default_specs,
-                            enumerate_universe, run_selected, run_suite)
+                            _Vec, count_universe, enumerate_universe,
+                            run_selected, run_suite)
 from isomon.homs import hom_translation, hom_z2
 from isomon.jsonio import element_to_obj
 from isomon.natmonoid import is_bicyclic
@@ -467,12 +467,18 @@ def test_lemma_3_3_reports_wrong_markers(monkeypatch):
     assert all(set(f) == {"input", "markers"} for f in report.failures)
 
 
-def test_default_specs():
-    assert default_specs("assoc") == (NAT_DEFAULT, INT_DEFAULT)
-    assert default_specs("lemma-2.1") == (INT_DEFAULT,)
-    assert default_specs("lemma-2.9-oracle") == (UniverseSpec("int", 4, 2),)
-    with pytest.raises(ValueError):
-        default_specs("nope")
+def test_default_specs(monkeypatch):
+    assert SUITES["assoc"].defaults == (NAT_DEFAULT, INT_DEFAULT)
+    assert SUITES["lemma-2.1"].defaults == (INT_DEFAULT,)
+    assert SUITES["lemma-2.9-oracle"].defaults == (UniverseSpec("int", 4, 2),)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker was started")
+
+    monkeypatch.setattr(multiprocessing, "Process", refuse)
+    for names in (["nope"], ["lemma-3.3", "nope"]):
+        with pytest.raises(ValueError, match="^unknown suite 'nope'$"):
+            run_selected(names, jobs=2)
 
 
 def test_reports_are_deterministic_across_jobs():
@@ -499,8 +505,8 @@ def test_run_selected_is_deterministic_when_workers_reuse_rows(monkeypatch, faul
             monkeypatch.setattr(cls, "__mul__", wrong)
     runs = []
     for jobs in (1, 2, 3):
-        # workers start without universes or product rows and keep the ones
-        # they build for the later suites of the run
+        # workers start with the universes that listing the runs builds, but
+        # without product rows, and keep the rows they build for later suites
         _chunk_table.cache_clear()
         _universe.cache_clear()
         reports = run_selected(list(SUITES), bound=2, shift_bound=1, jobs=jobs)
@@ -526,6 +532,28 @@ def test_worker_failures_propagate(monkeypatch):
             run_selected(names, jobs=2)
     assert not multiprocessing.active_children()
     assert [r.to_obj() for r in run_selected(names, jobs=2)] == expected
+
+
+def test_run_selected_of_no_suites_is_empty():
+    assert run_selected([], jobs=2) == []
+    assert not multiprocessing.active_children()
+
+
+def test_the_earliest_failing_run_raises_first(monkeypatch):
+    def failing(name, start):
+        def chunk(spec, instances, lo, hi, log, counters):
+            if lo >= start:
+                raise LookupError(f"{name} chunk from {lo}")
+            return hi - lo
+        return chunk
+
+    # filtration fails on worker 0 while worker 1 fails on the earlier run
+    for name, start in (("lemma-3.3", 1), ("filtration", 0)):
+        monkeypatch.setitem(SUITES, name,
+                            dataclasses.replace(SUITES[name], chunk=failing(name, start)))
+    with pytest.raises(LookupError, match="^lemma-3.3 chunk from 60$"):
+        run_selected(["lemma-3.3", "filtration"], jobs=2)
+    assert not multiprocessing.active_children()
 
 
 def test_worker_word_syntax_errors_arrive_intact(monkeypatch):
