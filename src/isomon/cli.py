@@ -29,9 +29,18 @@ def _emit(obj) -> int:
     return 0
 
 
-def _load_element(path: str):
+def _read_json(path: str):
+    """The JSON value in the file at ``path``, with nesting too deep to
+    decode refused as a ValueError naming the file."""
     with open(path, encoding="utf-8") as fh:
-        return element_from_obj(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to decode") from None
+
+
+def _load_element(path: str):
+    return element_from_obj(_read_json(path))
 
 
 def _decimal(text: str) -> int:
@@ -106,8 +115,7 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_refute_fg(args) -> int:
-    with open(args.generators, encoding="utf-8") as fh:
-        objs = json.load(fh)
+    objs = _read_json(args.generators)
     if not isinstance(objs, list):
         raise ValueError("generators file must hold a JSON array of elements")
     gens = [element_from_obj(obj) for obj in objs]

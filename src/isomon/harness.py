@@ -21,14 +21,15 @@ merges each run's chunks in chunk order.
 Every suite that composes pairs reads them from one product table per
 universe chunk and process (``_product_rows``): for each x in the chunk's
 rows and every y, the id of ``x * y`` among the chunk's distinct products,
-each of which is one interned object.  The table is built once per chunk and
-compose in force, and chunk c of every suite is the same rows, so a worker
-builds its table once and reuses it in every later suite of the run.  A
-pairwise check runs once per distinct triple of values of x, y and x * y,
-and its items are counted over that triple's pairs.  The packed ``assoc``
-scan checks each triple through the distinct pair products, which it
-composes once with every element on each side; it decodes each distinct
-packed pair product and compares it with the table's, so the library's
+and the map that interns them, each product once, to its id.  The table is
+built once per chunk and compose in force, and chunk c of every suite is the
+same rows, so a worker builds its table once and reuses it in every later
+suite of the run.  A pairwise check runs once per distinct triple of values
+of x, y and x * y, and its items are counted over that triple's pairs.  The
+packed ``assoc`` scan checks each triple through the distinct pair
+products, which it composes once with every element on each side; it
+decodes each distinct packed pair product, whose key carries its unit's
+offset a signed, and looks it up in the table's map, so the library's
 compose is checked on the universe's pairs, not on the pair products the
 triple scan composes.
 """
@@ -122,10 +123,10 @@ def _universe(spec: UniverseSpec) -> tuple:
     return tuple(enumerate_universe(spec))
 
 
-def _product_rows(spec: UniverseSpec, lo: int, hi: int) -> tuple[np.ndarray, list]:
+def _product_rows(spec: UniverseSpec, lo: int, hi: int) -> tuple[np.ndarray, dict]:
     """Rows [lo, hi) of the universe's product table: for each x in the
     rows and every y, the id of ``x * y`` among the rows' distinct products,
-    and those products by id.  Equal products are one interned object."""
+    and the map from each distinct product to its id, iterated in id order."""
     return _chunk_table(spec, type(_universe(spec)[0]).__mul__, lo, hi)
 
 
@@ -136,7 +137,7 @@ def _chunk_table(spec: UniverseSpec, mul: Callable, lo: int, hi: int) -> tuple:
     ids: dict = {}
     rows = np.array([[ids.setdefault(mul(x, y), len(ids)) for y in elems]
                      for x in elems[lo:hi]])
-    return rows, list(ids)
+    return rows, ids
 
 
 @dataclass
@@ -199,11 +200,11 @@ class _FailLog:
 # the window holds every hole of a product of up to three universe elements:
 # nat has low = 1 and width = reach, so preimages below 1 fall off its low
 # end; int has low = -reach and width = 2 * reach + 1.  A key packs a
-# (offset to be positive), r and m, high bits to low.  Composition then
-# becomes a handful of elementwise numpy operations, which makes the full
-# triple scan cheap.  ``key_bits`` is the length of the widest key a triple
-# product can have; keys are int64 when they fit in 63 bits, else Python
-# ints in object arrays.
+# (signed), r and m, high bits to low.  Composition then becomes a handful
+# of elementwise numpy operations, which makes the full triple scan cheap.
+# ``key_bits`` is the length of the widest key a triple product can have,
+# whose |a| <= 3S takes a sign bit too; keys are int64 when they fit in 63
+# bits, else Python ints in object arrays.
 
 
 def _shift_bits(m, k):
@@ -224,8 +225,7 @@ class _Vec:
         self.nat = spec.monoid == "nat"
         reach = spec.exception_bound + 2 * spec.shift_bound
         self.low, self.width = (1, reach) if self.nat else (-reach, 2 * reach + 1)
-        self.koff = 3 * spec.shift_bound + 1
-        self.key_bits = self.width + 1 + (2 * self.koff).bit_length()
+        self.key_bits = self.width + 2 + (3 * spec.shift_bound).bit_length()
         self.dtype = np.int64 if self.key_bits <= 63 else object
 
     def parts(self, e) -> tuple:
@@ -240,7 +240,7 @@ class _Vec:
         a, r, m = t
         if np.any(m >> self.width):
             raise AssertionError("exception mask escaped its window")
-        return ((a + self.koff) << (self.width + 1)) | (r << self.width) | m
+        return (a << (self.width + 1)) | (r << self.width) | m
 
     def _mirror(self, m):
         # bit b -> bit width-1-b: the int window reflected about 0
@@ -261,7 +261,7 @@ class _Vec:
     def decode(self, key: int):
         m = key & ((1 << self.width) - 1)
         r = (key >> self.width) & 1
-        a = (key >> (self.width + 1)) - self.koff
+        a = key >> (self.width + 1)
         exc = FiniteIntSet(self.low + b for b in range(self.width) if m >> b & 1)
         return NatIsometry(a, exc) if self.nat else IntIsometry(ZIsometry(a, bool(r)), exc)
 
@@ -304,11 +304,11 @@ class _Pairwise:
     row: Callable | None = None
 
     def __call__(self, spec, elems, lo, hi, log, counters):
-        ids, objs = _product_rows(spec, lo, hi)
+        ids, products = _product_rows(spec, lo, hi)
         code: dict = {}  # each distinct value's code, in order of first sight
         ex = np.array([code.setdefault(v, len(code)) for v in map(self.each, elems)])
         nx = len(code)
-        pc = np.array([code.setdefault(v, len(code)) for v in map(self.each, objs)])
+        pc = np.array([code.setdefault(v, len(code)) for v in map(self.each, products)])
         values, nv = list(code), len(code)
         if nx * nx * nv >> 63:
             raise AssertionError("value class keys overflow int64")
@@ -357,11 +357,10 @@ def _assoc_chunk(spec, elems, lo, hi, log, counters):
     keys, first, idx = np.unique(pair_keys, return_index=True, return_inverse=True)
     idx = idx.reshape(n, n)
     # the cross-check: each distinct packed product is decoded once and
-    # looked up among the chunk's products, -1 where none equals it (as for
+    # looked up in the chunk's product map, -1 where none equals it (as for
     # a product with a hole outside the window)
-    ids, objs = _product_rows(spec, lo, hi)
-    where = {p: k for k, p in enumerate(objs)}
-    packed = np.array([where.get(vec.decode(key), -1) for key in keys.tolist()])
+    ids, products = _product_rows(spec, lo, hi)
+    packed = np.array([products.get(vec.decode(key), -1) for key in keys.tolist()])
     for i, j in np.argwhere(packed[idx[lo:hi]] != ids):
         log.add({"inputs": _objs(elems[lo + i], elems[j]),
                  "check": "packed product mismatch"})

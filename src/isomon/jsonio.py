@@ -36,6 +36,8 @@ def increasing_set(values: list, field: str) -> FiniteIntSet:
 
 
 def element_from_obj(obj: dict) -> NatIsometry | IntIsometry:
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {obj!r}")
     try:
         kind = obj["kind"]
         if kind not in ("nat", "int"):
@@ -50,7 +52,7 @@ def element_from_obj(obj: dict) -> NatIsometry | IntIsometry:
         if not isinstance(reflect, bool):
             raise ValueError(f"expected a JSON boolean, got {reflect!r}")
         return IntIsometry(ZIsometry(_integer(obj["a"]), reflect), exc)
-    except (KeyError, TypeError) as err:
+    except KeyError as err:
         raise ValueError(f"malformed element object: {err}") from err
 
 

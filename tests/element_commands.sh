@@ -40,6 +40,15 @@ cat > int-gens.json <<'EOF'
 [{"kind": "nat", "shift": 1, "exceptions": []},
  {"kind": "int", "a": -1, "reflect": false, "exceptions": [-2, 5]}]
 EOF
+cat > rat.json <<'EOF'
+{"kind": "rat", "shift": 1, "exceptions": []}
+EOF
+cat > nat-no-shift.json <<'EOF'
+{"kind": "nat", "exceptions": [1, 3]}
+EOF
+cat > int-no-reflect.json <<'EOF'
+{"kind": "int", "a": 2, "exceptions": [0]}
+EOF
 
 run() {
     printf '$ isomon %s\n' "$*"
@@ -73,3 +82,7 @@ run extend int-left.json
 run extend --n 1 word.json
 run compose nat-left.json int-right.json
 run refute-fg int-gens.json
+run sigma rat.json
+run compose nat-no-shift.json nat-right.json
+run extend nat-no-shift.json
+run compose int-left.json int-no-reflect.json

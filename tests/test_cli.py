@@ -215,6 +215,20 @@ def test_check_text(capsys):
     assert "1/1 suite runs passed" in out
 
 
+def test_check_text_prints_counters_and_counterexamples(capsys):
+    rc, out, _ = run(capsys, "check", "--suite", "cor-2.12", "--bound", "1",
+                     "--shift-bound", "0", "--format", "text")
+    assert rc == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL cor-2.12 [nat B=1 S=0] instances=9 failures=1 ")
+    assert lines[1:] == [
+        "  z2_identities=2",
+        "  z2_reflections=0",
+        '  counterexample: {"check": "two-element image not realized over this '
+        'universe", "counters": {"z2_identities": 2, "z2_reflections": 0}}',
+        "0/1 suite runs passed"]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_check_rejects_jobs_below_one(capsys, jobs):
     rc, out, err = run(capsys, "check", "--suite", "refute-fg", "--jobs", jobs)
@@ -279,6 +293,36 @@ def test_compose_refuses_exceptions_that_are_not_an_array(tmp_path, capsys):
             rc, out, err = run(capsys, "compose", *argv)
             assert rc == 1 and out == ""
             assert err == f"isomon: exceptions: expected a JSON array, got {bad!r}\n"
+
+
+NAT = {"kind": "nat", "shift": 1, "exceptions": []}
+
+
+@pytest.mark.parametrize("command, content, message", [
+    ("sigma", {"kind": "rat", "shift": 0, "exceptions": []}, "unknown element kind 'rat'"),
+    ("sigma", {"kind": "nat", "exceptions": []}, "malformed element object: 'shift'"),
+    ("sigma", {"kind": "int", "a": 0, "exceptions": []},
+     "malformed element object: 'reflect'"),
+    ("sigma", [NAT], f"expected a JSON object, got {[NAT]!r}"),
+    ("sigma", "nat", "expected a JSON object, got 'nat'"),
+    ("refute-fg", [NAT, 5], "expected a JSON object, got 5"),
+], ids=["unknown-kind", "nat-without-shift", "int-without-reflect", "array",
+        "string", "generator-int"])
+def test_malformed_elements_are_refused(tmp_path, capsys, command, content, message):
+    rc, out, err = run(capsys, command, write_element(tmp_path, "g.json", content))
+    assert rc == 1 and out == ""
+    assert err == f"isomon: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["compose", "refute-fg"])
+def test_deeply_nested_json_is_refused(tmp_path, capsys, command):
+    # deep enough that the decoder runs out of recursion depth
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    paths = [str(deep)] * (2 if command == "compose" else 1)
+    rc, out, err = run(capsys, command, *paths)
+    assert rc == 1 and out == ""
+    assert err == f"isomon: {deep}: JSON nested too deeply to decode\n"
 
 
 def test_check_rejects_unknown_suite(capsys):

@@ -102,11 +102,12 @@ WIDE_NAT = UniverseSpec("nat", 0, 28)
 def test_packed_composition_matches_object_composition():
     # the associativity scan packs elements into integers; verify the decoded
     # packed product equals the real one on every pair product p and element
-    # z, in both orders (the layer the triple scan actually composes)
+    # z, in both orders (the layer the triple scan actually composes); the
+    # pair products are the table's distinct ones, each composed once
     for spec in (UniverseSpec("nat", 2, 2), UniverseSpec("int", 1, 1), WIDE_NAT):
         vec = _Vec(spec)
         elems = _universe(spec)
-        products = [x * y for x, y in product(elems, repeat=2)]
+        products = list(_product_rows(spec, 0, len(elems))[1])
         decoded = lambda keys: [vec.decode(k) for k in keys.reshape(-1).tolist()]
         assert decoded(vec.key(vec.pack(products + list(elems)))) == products + list(elems)
         ps = tuple(a[:, None] for a in vec.pack(products))
@@ -350,8 +351,7 @@ def test_gap_lemmas_check_every_pair_with_a_bicyclic_factor():
 def test_example_2_13_extends_each_element_and_distinct_product_once(monkeypatch):
     spec = SMALL_BY_MONOID["nat"]
     elems = _universe(spec)
-    rows, objs = _product_rows(spec, 0, len(elems))
-    distinct = {objs[k] for k in rows.reshape(-1)}
+    distinct = _product_rows(spec, 0, len(elems))[1]
     calls = []
     extend_in = harness.extend_in
     monkeypatch.setattr(harness, "extend_in",
@@ -589,12 +589,13 @@ def test_worker_errors_that_cannot_be_pickled_name_their_type(monkeypatch):
 def test_product_rows_are_the_interned_products():
     spec = SMALL_BY_MONOID["int"]
     elems = _universe(spec)
-    interned = {}
-    rows, objs = _product_rows(spec, 0, len(elems))
+    rows, products = _product_rows(spec, 0, len(elems))
+    # the map is iterated in id order, and each row holds its products' ids
+    assert list(products.values()) == list(range(len(products)))
     for x, row in zip(elems, rows):
-        assert [objs[k] for k in row] == [x * y for y in elems]
-        assert all(interned.setdefault(objs[k], objs[k]) is objs[k] for k in row)
-    assert len(interned) < len(elems) ** 2
+        assert row.tolist() == [products[x * y] for y in elems]
+    assert len(products) == len({x * y for x, y in product(elems, repeat=2)})
+    assert len(products) < len(elems) ** 2
 
 
 def test_product_table_follows_the_compose_in_force(monkeypatch):

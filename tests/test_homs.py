@@ -66,6 +66,8 @@ class TestFiniteTailMap:
             FiniteTailMap(0, 0, 4, 0, [(5, 5)])  # input outside the gap
         with pytest.raises(ValueError):
             FiniteTailMap(0, 0, 4, 0, [(1, -3)])  # output inside a tail range
+        with pytest.raises(ValueError, match="^duplicate middle output 2$"):
+            FiniteTailMap(0, 0, 4, 0, [(1, 2), (2, 2)])
         with pytest.raises(ValueError):
             FiniteTailMap(0, 10, 1, 0)  # ranges overlap
 

@@ -90,6 +90,13 @@ def test_sigma():
         assert sigma(x * y) == sigma(x) * sigma(y)
 
 
+def test_idempotents_are_the_partial_identities():
+    assert identity_on(FiniteIntSet([0, 3])).is_idempotent()
+    assert [g for g in SMALL if g.is_idempotent()] == [g for g in SMALL if g * g == g]
+    assert not IntIsometry(ZIsometry(0, True)).is_idempotent()
+    assert not IntIsometry(ZIsometry(1)).is_idempotent()
+
+
 def test_natural_order():
     g = IntIsometry(ZIsometry(2, True), FiniteIntSet([0, 1]))
     assert natural_le(g, IntIsometry(ZIsometry(2, True), FiniteIntSet([0])))

@@ -179,6 +179,9 @@ def test_bicyclic_conversions():
         nf = to_bicyclic(g)
         if nf is not None:
             assert from_bicyclic(nf) == g
+    for nf in (Bicyclic(-1, 0), Bicyclic(0, -1)):
+        with pytest.raises(ValueError, match="^normal form needs non-negative exponents"):
+            from_bicyclic(nf)
 
 
 def test_bicyclic_mul_examples():

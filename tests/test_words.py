@@ -54,6 +54,17 @@ def test_word_validation():
         Word([Token("e", 1, 1)])
     with pytest.raises(ValueError):
         Word([Token("q", 1)])
+    for kind in ("a", "b"):
+        with pytest.raises(ValueError, match=f"^generator '{kind}' takes no index$"):
+            Word([Token(kind, 1, 2)])
+
+
+def test_word_protocols():
+    w = Word([Token("e", 1, 3), Token("b", 1), Token("a", 3)])
+    assert len(w) == 3 and len(Word()) == 0
+    assert hash(w) == hash(Word(w.tokens)) and len({w, Word(w.tokens)}) == 1
+    assert repr(w) == "Word('e[3] b a^3')"
+    assert str(w) == "e[3] b a^3" and str(Word()) == "I"
 
 
 tokens = st.one_of(
