@@ -125,9 +125,13 @@ def _cmd_refute_fg(args) -> int:
 
 
 def _worker_count(jobs: int) -> int:
-    """The ``--jobs`` value, refused below 1 and capped at the CPU count."""
+    """The ``--jobs`` value, refused below 1 and capped at the number of
+    CPUs this process may run on, or at the CPU count where the platform
+    cannot tell."""
     if jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
+    if hasattr(os, "sched_getaffinity"):
+        return min(jobs, len(os.sched_getaffinity(0)))
     return min(jobs, os.cpu_count() or 1)
 
 

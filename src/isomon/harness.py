@@ -26,12 +26,12 @@ built once per chunk and compose in force, and chunk c of every suite is the
 same rows, so a worker builds its table once and reuses it in every later
 suite of the run.  A pairwise check runs once per distinct triple of values
 of x, y and x * y, and its items are counted over that triple's pairs.  The
-packed ``assoc`` scan checks each triple through the distinct pair
-products, which it composes once with every element on each side; it
-decodes each distinct packed pair product, whose key carries its unit's
-offset a signed, and looks it up in the table's map, so the library's
-compose is checked on the universe's pairs, not on the pair products the
-triple scan composes.
+packed ``assoc`` scan holds elements and products only as integer keys.  It
+checks each triple through the distinct pair keys, composing each once with
+every element on each side; it decodes each and looks it up in the table's
+map, so the library's compose is checked on the universe's pairs, not on
+the pair products the triple scan composes.  It logs each row's pair
+mismatches and then its failing triples, so any jobs give one order.
 """
 
 from __future__ import annotations
@@ -194,17 +194,17 @@ class _FailLog:
 # ---------------------------------------------------------------------------
 # Vectorized element encoding for the associativity scan.
 #
-# An element of either monoid is packed as three integers ``(a, r, m)``: its
-# unit x -> x + a, or x -> a - x when r = 1 (a nat element has r = 0), and
-# its exception mask, where bit b is the point low + b.  With reach = B + 2S
-# the window holds every hole of a product of up to three universe elements:
-# nat has low = 1 and width = reach, so preimages below 1 fall off its low
-# end; int has low = -reach and width = 2 * reach + 1.  A key packs a
-# (signed), r and m, high bits to low.  Composition then becomes a handful
-# of elementwise numpy operations, which makes the full triple scan cheap.
-# ``key_bits`` is the length of the widest key a triple product can have,
-# whose |a| <= 3S takes a sign bit too; keys are int64 when they fit in 63
-# bits, else Python ints in object arrays.
+# An element of either monoid is packed as one integer key, whose fields are,
+# high bits to low: a (signed) and r of its unit x -> x + a, or x -> a - x
+# when r = 1 (a nat element has r = 0), and its exception mask m, where bit b
+# is the point low + b.  With reach = B + 2S the window holds every hole of a
+# product of up to three universe elements: nat has low = 1 and width =
+# reach, so preimages below 1 fall off its low end; int has low = -reach and
+# width = 2 * reach + 1.  Composition is then a handful of elementwise numpy
+# operations on keys, which makes the full triple scan cheap.  ``key_bits``
+# is the length of the widest key a triple product can have, whose |a| <= 3S
+# takes a sign bit too; keys are int64 when they fit in 63 bits, else Python
+# ints in object arrays.
 
 
 def _shift_bits(m, k):
@@ -216,10 +216,10 @@ def _shift_bits(m, k):
 
 
 class _Vec:
-    """The packed encoding of a universe: ``parts(e)`` is ``(a, r, m)`` for
-    one element, ``key`` packs those ints (or arrays) into keys, and
-    ``decode`` turns a key back into an element.  Packed products are only
-    ever decoded and compared with the library's; no element is keyed."""
+    """The packed encoding of a universe: ``key`` joins fields ``(a, r, m)``
+    into keys and ``fields`` splits them, for ints or arrays; ``pack``,
+    ``compose`` and ``decode`` go through those two.  Packed products are only
+    ever decoded and compared with the library's."""
 
     def __init__(self, spec: UniverseSpec):
         self.nat = spec.monoid == "nat"
@@ -228,19 +228,19 @@ class _Vec:
         self.key_bits = self.width + 2 + (3 * spec.shift_bound).bit_length()
         self.dtype = np.int64 if self.key_bits <= 63 else object
 
-    def parts(self, e) -> tuple:
-        a, r, holes = (e.shift, 0, e.exceptions) if self.nat else e.key
-        return a, int(r), sum(1 << (x - self.low) for x in holes)
-
-    def pack(self, elems):
-        return tuple(np.array(col, dtype=self.dtype)
-                     for col in zip(*map(self.parts, elems)))
-
-    def key(self, t):
-        a, r, m = t
+    def key(self, a, r, m):
         if np.any(m >> self.width):
             raise AssertionError("exception mask escaped its window")
         return (a << (self.width + 1)) | (r << self.width) | m
+
+    def fields(self, key) -> tuple:
+        return key >> (self.width + 1), (key >> self.width) & 1, key & ((1 << self.width) - 1)
+
+    def pack(self, elems):
+        a, r, holes = zip(*((e.shift, 0, e.exceptions) if self.nat else e.key
+                            for e in elems))
+        m = [sum(1 << (x - self.low) for x in h) for h in holes]
+        return self.key(*(np.array(col, dtype=self.dtype) for col in (a, r, m)))
 
     def _mirror(self, m):
         # bit b -> bit width-1-b: the int window reflected about 0
@@ -249,19 +249,17 @@ class _Vec:
             out |= ((m >> b) & 1) << (self.width - 1 - b)
         return out
 
-    def compose(self, t1, t2):
-        a1, r1, m1 = t1
-        a2, r2, m2 = t2
-        a = np.where(r2, a2 - a1, a1 + a2)
+    def compose(self, k1, k2):
+        a1, r1, m1 = self.fields(k1)
+        a2, r2, m2 = self.fields(k2)
         pre = _shift_bits(m2, -a1)
         if np.count_nonzero(r1):  # never for nat
             pre = np.where(r1, _shift_bits(self._mirror(m2), a1), pre)
-        return a, r1 ^ r2, m1 | pre
+        pre |= m1  # in place, so the key is built with one array fewer alive
+        return self.key(np.where(r2, a2 - a1, a1 + a2), r1 ^ r2, pre)
 
     def decode(self, key: int):
-        m = key & ((1 << self.width) - 1)
-        r = (key >> self.width) & 1
-        a = key >> (self.width + 1)
+        a, r, m = self.fields(key)
         exc = FiniteIntSet(self.low + b for b in range(self.width) if m >> b & 1)
         return NatIsometry(a, exc) if self.nat else IntIsometry(ZIsometry(a, bool(r)), exc)
 
@@ -347,39 +345,36 @@ def _assoc_chunk(spec, elems, lo, hi, log, counters):
     # pair product: each half of the int rows uses all 2,624 distinct ones.
     n = len(elems)
     vec = _Vec(spec)
-    arrays = vec.pack(elems)
-    cols = tuple(x[None, :] for x in arrays)
-    pairwise = vec.compose(tuple(x[:, None] for x in arrays), cols)
-    pair_keys = vec.key(pairwise)
-    # Keys are injective, so every triple product goes through one of the
-    # distinct pair products q: (x_i y_j) z_k = pz[idx[i, j], k] and
-    # x_i (y_j z_k) = xq[i, idx[j, k]].
-    keys, first, idx = np.unique(pair_keys, return_index=True, return_inverse=True)
+    keys = vec.pack(elems)
+    cols = keys[None, :]
+    # Keys are injective, so the distinct pair keys are the distinct pair
+    # products q, and every triple product goes through one of them:
+    # (x_i y_j) z_k = pz[idx[i, j], k] and x_i (y_j z_k) = xq[i, idx[j, k]].
+    prods, idx = np.unique(vec.compose(keys[:, None], cols), return_inverse=True)
     idx = idx.reshape(n, n)
     # the cross-check: each distinct packed product is decoded once and
     # looked up in the chunk's product map, -1 where none equals it (as for
     # a product with a hole outside the window)
     ids, products = _product_rows(spec, lo, hi)
-    packed = np.array([products.get(vec.decode(key), -1) for key in keys.tolist()])
-    for i, j in np.argwhere(packed[idx[lo:hi]] != ids):
-        log.add({"inputs": _objs(elems[lo + i], elems[j]),
-                 "check": "packed product mismatch"})
+    packed = np.array([products.get(vec.decode(q), -1) for q in prods.tolist()])
+    mismatched = packed[idx[lo:hi]] != ids
     counters["pair_checks"] += (hi - lo) * n
-    prods = tuple(x.reshape(-1)[first] for x in pairwise)
-    del pairwise, pair_keys  # n * n arrays; only the distinct products are used now
     # No array exceeds the budget: pz holds the distinct products of a block
     # of rows against every z, so a block is every row when all distinct
     # products fit, else as many rows as hold n products each.
     budget = max(_SCAN_BUDGET, n * n)
-    block = hi - lo if len(first) * n <= budget else budget // (n * n)
+    block = hi - lo if len(prods) * n <= budget else budget // (n * n)
     for b0 in range(lo, hi, block):
         b1 = min(hi, b0 + block)
         used, local = np.unique(idx[b0:b1], return_inverse=True)
         local = local.reshape(b1 - b0, n)
-        pz = vec.key(vec.compose(tuple(x[used][:, None] for x in prods), cols))
-        xq = vec.key(vec.compose(tuple(x[b0:b1, None] for x in arrays),
-                                 tuple(x[None, :] for x in prods)))
+        pz = vec.compose(prods[used][:, None], cols)
+        xq = vec.compose(keys[b0:b1, None], prods[None, :])
+        # row by row, pair mismatches first: the same order for any chunks
         for i in range(b0, b1):
+            for j in np.flatnonzero(mismatched[i - lo]):
+                log.add({"inputs": _objs(elems[i], elems[j]),
+                         "check": "packed product mismatch"})
             left = pz[local[i - b0]]
             right = xq[i - b0][idx]
             for j, k in np.argwhere(left != right):
@@ -761,8 +756,12 @@ def run_suite(name: str, spec: UniverseSpec, jobs: int = 1) -> SuiteReport:
         parts = []
         with _worker_set([tasks]) if _results is None else contextlib.nullcontext():
             # in chunk order, so the first error raised is the first failed chunk's
-            for conn in _results[:len(tasks)]:
-                result, error = conn.recv()
+            for (_, _, lo, hi), conn in zip(tasks, _results):
+                try:
+                    result, error = conn.recv()
+                except EOFError as exc:
+                    raise RuntimeError(f"suite run {name}[{spec.monoid}]: the worker of "
+                                       f"rows {lo} to {hi} exited without a result") from exc
                 if error is not None:
                     exc, tb = error
                     raise exc from _RemoteTraceback(tb)

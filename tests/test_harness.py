@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import multiprocessing
+import os
 import threading
 from itertools import product
 
@@ -109,19 +110,16 @@ def test_packed_composition_matches_object_composition():
         elems = _universe(spec)
         products = list(_product_rows(spec, 0, len(elems))[1])
         decoded = lambda keys: [vec.decode(k) for k in keys.reshape(-1).tolist()]
-        assert decoded(vec.key(vec.pack(products + list(elems)))) == products + list(elems)
-        ps = tuple(a[:, None] for a in vec.pack(products))
-        zs = tuple(a[None, :] for a in vec.pack(elems))
-        assert decoded(vec.key(vec.compose(ps, zs))) == [p * z for p in products
-                                                         for z in elems]
-        assert decoded(vec.key(vec.compose(zs, ps))) == [z * p for p in products
-                                                         for z in elems]
+        assert decoded(vec.pack(products + list(elems))) == products + list(elems)
+        ps, zs = vec.pack(products)[:, None], vec.pack(elems)[None, :]
+        assert decoded(vec.compose(ps, zs)) == [p * z for p in products for z in elems]
+        assert decoded(vec.compose(zs, ps)) == [z * p for p in products for z in elems]
 
 
 def test_assoc_packs_python_int_keys_beyond_63_bits():
     vec = _Vec(WIDE_NAT)
     assert vec.key_bits == 65
-    assert all(a.dtype == object for a in vec.pack(_universe(WIDE_NAT)))
+    assert vec.pack(_universe(WIDE_NAT)).dtype == object
     report = run_suite("assoc", WIDE_NAT)
     assert report.passed and report.instances == 29 ** 3
     assert report.counters == {"pair_checks": 29 * 29}
@@ -137,42 +135,43 @@ def test_assoc_packs_every_key_that_fits_63_bits():
 
 
 def _packed_assoc_failures(spec, vec):
-    # what assoc must report for a packed compose, by a direct loop: every
-    # pair whose decoded packed product is not the object product, then
-    # every triple whose two packed products differ, in (i, j, k) order;
-    # elements are one-element slices, so wide keys stay Python ints
+    # what assoc must report for a packed compose, by a direct broadcast over
+    # every triple: row by row, each pair (i, j) whose decoded packed product
+    # is not the object product, then each triple (i, j, k) whose two packed
+    # products differ, in (j, k) order
     elems = _universe(spec)
-    arrays = vec.pack(elems)
-    packed = [tuple(a[i:i + 1] for a in arrays) for i in range(len(elems))]
-    key = lambda t: int(vec.key(t)[0])
+    keys = vec.pack(elems)
+    x, y, z = keys[:, None, None], keys[None, :, None], keys[None, None, :]
+    pairs = vec.compose(x, y)
+    left = vec.compose(pairs, z)
+    right = vec.compose(x, vec.compose(y, z))
     out = []
-    for (x, s), (y, t) in product(zip(elems, packed), repeat=2):
-        if vec.decode(key(vec.compose(s, t))) != x * y:
-            out.append({"inputs": [element_to_obj(x), element_to_obj(y)],
-                        "check": "packed product mismatch"})
-    for i, j, k in product(range(len(elems)), repeat=3):
-        left = key(vec.compose(vec.compose(packed[i], packed[j]), packed[k]))
-        right = key(vec.compose(packed[i], vec.compose(packed[j], packed[k])))
-        if left != right:
+    for i, e in enumerate(elems):
+        for j, d in enumerate(elems):
+            if vec.decode(int(pairs[i, j, 0])) != e * d:
+                out.append({"inputs": [element_to_obj(e), element_to_obj(d)],
+                            "check": "packed product mismatch"})
+        for j, k in np.argwhere(left[i] != right[i]):
             out.append({"inputs": [element_to_obj(elems[m]) for m in (i, j, k)],
-                        "left": element_to_obj(vec.decode(left)),
-                        "right": element_to_obj(vec.decode(right))})
+                        "left": element_to_obj(vec.decode(int(left[i, j, k]))),
+                        "right": element_to_obj(vec.decode(int(right[i, j, k])))})
     return out
 
 
 def _nat_hole_after_shift(compose):
     # hole 1 appears when a shift by 1 is followed by a shift by 0
-    def wrong(self, t1, t2):
-        a, r, m = compose(self, t1, t2)
-        return a, r, m | np.where((t1[0] == 1) & (t2[0] == 0), 1, 0)
+    def wrong(self, k1, k2):
+        k = compose(self, k1, k2)
+        return np.where((self.fields(k1)[0] == 1) & (self.fields(k2)[0] == 0), k | 1, k)
     return wrong
 
 
 def _int_hole_after_reflection(compose):
     # hole 0 appears when a reflection is followed by a translation
-    def wrong(self, t1, t2):
-        a, r, m = compose(self, t1, t2)
-        return a, r, m | np.where((t1[1] == 1) & (t2[1] == 0), 1 << -self.low, 0)
+    def wrong(self, k1, k2):
+        k = compose(self, k1, k2)
+        hole = (self.fields(k1)[1] == 1) & (self.fields(k2)[1] == 0)
+        return np.where(hole, k | 1 << -self.low, k)
     return wrong
 
 
@@ -185,22 +184,20 @@ def test_assoc_reports_exactly_the_non_associative_triples(monkeypatch, spec, fa
     monkeypatch.setattr(_Vec, "compose", fault(_Vec.compose))
     expected = _packed_assoc_failures(spec, _Vec(spec))
     assert any("left" in f for f in expected)
-    # a budget of n * n scans one row per block
-    for budget in (harness._SCAN_BUDGET, 0):
+    # a budget of n * n scans one row per block; at 2 jobs the second chunk
+    # starts past row 0, and the report must not change
+    for budget, jobs in product((harness._SCAN_BUDGET, 0), (1, 2)):
         monkeypatch.setattr(harness, "_SCAN_BUDGET", budget)
-        report = run_suite("assoc", spec)
+        report = run_suite("assoc", spec, jobs=jobs)
         assert report.failure_count == len(expected)
         assert report.failures == expected[:_REPORT_FAIL_CAP]
 
 
 @pytest.mark.parametrize("spec", [SMALL_BY_MONOID["nat"], SMALL_BY_MONOID["int"]])
 def test_assoc_stops_on_a_mask_that_escapes_its_window(monkeypatch, spec):
-    compose = _Vec.compose
-
-    def wrong(self, t1, t2):
-        a, r, m = compose(self, t1, t2)
-        return a, r, m | (1 << self.width)
-    monkeypatch.setattr(_Vec, "compose", wrong)
+    shift_bits, width = harness._shift_bits, _Vec(spec).width
+    monkeypatch.setattr(harness, "_shift_bits",
+                        lambda m, k: shift_bits(m, k) | (1 << width))
     with pytest.raises(AssertionError, match="^exception mask escaped its window$"):
         run_suite("assoc", spec)
 
@@ -564,6 +561,19 @@ def test_worker_word_syntax_errors_arrive_intact(monkeypatch):
     with pytest.raises(WordSyntaxError) as err:
         run_suite("decompose-roundtrip", UniverseSpec("nat", 2, 1), jobs=2)
     assert str(err.value) == "forced (offset 3)" and err.value.offset == 3
+    assert not multiprocessing.active_children()
+
+
+def test_a_worker_that_exits_without_a_result_is_named(monkeypatch):
+    def exiting(spec, instances, lo, hi, log, counters):
+        os._exit(3)
+
+    monkeypatch.setitem(SUITES, "filtration",
+                        dataclasses.replace(SUITES["filtration"], chunk=exiting))
+    with pytest.raises(RuntimeError, match=r"^suite run filtration\[nat\]: the worker "
+                       "of rows 0 to 60 exited without a result$") as err:
+        run_selected(["filtration"], jobs=2)
+    assert isinstance(err.value.__cause__, EOFError)
     assert not multiprocessing.active_children()
 
 
