@@ -31,7 +31,9 @@ checks each triple through the distinct pair keys, composing each once with
 every element on each side; it decodes each and looks it up in the table's
 map, so the library's compose is checked on the universe's pairs, not on
 the pair products the triple scan composes.  It logs each row's pair
-mismatches and then its failing triples, so any jobs give one order.
+mismatches and then its failing triples, so any jobs give one order; a row
+lists its triples only if one of them fails, and a chunk builds no failure
+past the ones it keeps, only counts them.
 """
 
 from __future__ import annotations
@@ -177,17 +179,18 @@ class _FailLog:
         self.items: list = []
         self.total = 0
 
-    def add(self, obj: dict):
-        self.total += 1
-        if len(self.items) < _REPORT_FAIL_CAP:
-            self.items.append(obj)
+    def extend(self, count: int, failures):
+        # count ``count`` failures, but read the lazy ``failures`` only as far
+        # as the cap, so the failures past it are never built
+        self.total += count
+        self.items.extend(itertools.islice(failures, _REPORT_FAIL_CAP - len(self.items)))
 
     def scan(self, items) -> int:
         n = 0
         for failure in items:
             n += 1
             if failure is not None:
-                self.add(failure)
+                self.extend(1, (failure,))
         return n
 
 
@@ -203,8 +206,12 @@ class _FailLog:
 # width = 2 * reach + 1.  Composition is then a handful of elementwise numpy
 # operations on keys, which makes the full triple scan cheap.  ``key_bits``
 # is the length of the widest key a triple product can have, whose |a| <= 3S
-# takes a sign bit too; keys are int64 when they fit in 63 bits, else Python
-# ints in object arrays.
+# takes a sign bit too.  A compose shifts a mask bit below the width left by
+# up to 2S, the |a| of a pair product, and the window check in ``key`` sees
+# the bit only if it is still in the type.  So keys are int32 when both
+# key_bits and width + 2S are at most 32 (a bit shifted to bit 31 makes the
+# mask negative, which the check sees too), else int64 when key_bits <= 63,
+# else Python ints in object arrays.  The default universes have int32 keys.
 
 
 def _shift_bits(m, k):
@@ -226,7 +233,8 @@ class _Vec:
         reach = spec.exception_bound + 2 * spec.shift_bound
         self.low, self.width = (1, reach) if self.nat else (-reach, 2 * reach + 1)
         self.key_bits = self.width + 2 + (3 * spec.shift_bound).bit_length()
-        self.dtype = np.int64 if self.key_bits <= 63 else object
+        top = max(self.key_bits, self.width + 2 * spec.shift_bound)
+        self.dtype = np.int32 if top <= 32 else np.int64 if self.key_bits <= 63 else object
 
     def key(self, a, r, m):
         if np.any(m >> self.width):
@@ -324,14 +332,14 @@ class _Pairwise:
             for name, count in delta.items():
                 counters[name] += size * count
             fails.append([fields for fields in items if fields is not None])
-        failing = np.array([bool(f) for f in fails])
+        counts = np.array([len(f) for f in fails])[inverse]  # failures per pair
         for i in range(lo, hi):
             x, row = elems[i], inverse[i - lo]
             if self.row is not None:
                 n += log.scan(self.row(i, x, values[ex[i]], counters))
-            for j in np.flatnonzero(failing[row]):
-                for fields in fails[row[j]]:
-                    log.add({"inputs": _objs(x, elems[j]), **fields})
+            log.extend(int(counts[i - lo].sum()),
+                       ({"inputs": _objs(x, elems[j]), **fields}
+                        for j in np.flatnonzero(counts[i - lo]) for fields in fails[row[j]]))
         return n
 
 
@@ -372,15 +380,18 @@ def _assoc_chunk(spec, elems, lo, hi, log, counters):
         xq = vec.compose(keys[b0:b1, None], prods[None, :])
         # row by row, pair mismatches first: the same order for any chunks
         for i in range(b0, b1):
-            for j in np.flatnonzero(mismatched[i - lo]):
-                log.add({"inputs": _objs(elems[i], elems[j]),
-                         "check": "packed product mismatch"})
+            bad = np.flatnonzero(mismatched[i - lo])
+            log.extend(len(bad), ({"inputs": _objs(elems[i], elems[j]),
+                                   "check": "packed product mismatch"} for j in bad))
             left = pz[local[i - b0]]
             right = xq[i - b0][idx]
-            for j, k in np.argwhere(left != right):
-                log.add({"inputs": _objs(elems[i], elems[j], elems[k]),
-                         "left": element_to_obj(vec.decode(int(left[j, k]))),
-                         "right": element_to_obj(vec.decode(int(right[j, k])))})
+            differ = left != right
+            count = int(np.count_nonzero(differ))
+            if count:  # a row whose triples all agree lists none of them
+                log.extend(count, ({"inputs": _objs(elems[i], elems[j], elems[k]),
+                                    "left": element_to_obj(vec.decode(int(left[j, k]))),
+                                    "right": element_to_obj(vec.decode(int(right[j, k])))}
+                                   for j, k in np.argwhere(differ)))
     return (hi - lo) * n * n
 
 

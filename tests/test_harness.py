@@ -98,6 +98,8 @@ def test_every_suite_passes_at_small_bounds(name):
 # a 56-bit mask window, but the reflection bit and the shift field take the
 # key to 65 bits
 WIDE_NAT = UniverseSpec("nat", 0, 28)
+# 32-bit keys: too wide for int32, so int64
+NAT_32_BIT_KEYS = UniverseSpec("nat", 2, 11)
 
 
 def test_packed_composition_matches_object_composition():
@@ -105,7 +107,8 @@ def test_packed_composition_matches_object_composition():
     # packed product equals the real one on every pair product p and element
     # z, in both orders (the layer the triple scan actually composes); the
     # pair products are the table's distinct ones, each composed once
-    for spec in (UniverseSpec("nat", 2, 2), UniverseSpec("int", 1, 1), WIDE_NAT):
+    for spec in (UniverseSpec("nat", 2, 2), UniverseSpec("int", 1, 1), NAT_32_BIT_KEYS,
+                 WIDE_NAT):
         vec = _Vec(spec)
         elems = _universe(spec)
         products = list(_product_rows(spec, 0, len(elems))[1])
@@ -132,6 +135,29 @@ def test_assoc_packs_every_key_that_fits_63_bits():
     report = run_suite("assoc", spec)
     assert report.passed and report.instances == 52 ** 3
     assert report.counters == {"pair_checks": 52 * 52}
+
+
+@pytest.mark.parametrize("spec, dtype, n", [
+    (UniverseSpec("nat", 0, 8), np.int32, 9),  # width 16, and 16 + 2S = 32
+    (UniverseSpec("nat", 1, 8), np.int64, 19),  # 17 + 2S = 33
+    (UniverseSpec("nat", 1, 11), np.int64, 25),  # 31-bit keys, but 23 + 2S = 45
+    (NAT_32_BIT_KEYS, np.int64, 51),
+])
+def test_assoc_keys_take_the_narrowest_type_that_holds_every_shift(monkeypatch, spec,
+                                                                     dtype, n):
+    # keys are int32 only if both the key and a mask bit below the window's
+    # width shifted left by 2S, the most a compose shifts, fit in 32 bits
+    vec = _Vec(spec)
+    assert vec.pack(_universe(spec)).dtype == dtype
+    report = run_suite("assoc", spec)
+    assert report.passed and report.instances == n ** 3
+    assert report.counters == {"pair_checks": n * n}
+    # the window's top bit, shifted by 2S in the key's type, is still seen
+    shift_bits = harness._shift_bits
+    top = lambda m: np.ones_like(m) << (vec.width - 1) << 2 * spec.shift_bound
+    monkeypatch.setattr(harness, "_shift_bits", lambda m, k: shift_bits(m, k) | top(m))
+    with pytest.raises(AssertionError, match="^exception mask escaped its window$"):
+        run_suite("assoc", spec)
 
 
 def _packed_assoc_failures(spec, vec):
@@ -178,6 +204,7 @@ def _int_hole_after_reflection(compose):
 @pytest.mark.parametrize("spec, fault", [
     (UniverseSpec("nat", 2, 1), _nat_hole_after_shift),
     (UniverseSpec("int", 0, 1), _int_hole_after_reflection),
+    (NAT_32_BIT_KEYS, _nat_hole_after_shift),
     (WIDE_NAT, _nat_hole_after_shift),
 ])
 def test_assoc_reports_exactly_the_non_associative_triples(monkeypatch, spec, fault):
@@ -191,6 +218,38 @@ def test_assoc_reports_exactly_the_non_associative_triples(monkeypatch, spec, fa
         report = run_suite("assoc", spec, jobs=jobs)
         assert report.failure_count == len(expected)
         assert report.failures == expected[:_REPORT_FAIL_CAP]
+
+
+def _count_element_to_obj(patch) -> list:
+    calls = []
+    encode = harness.element_to_obj
+    patch.setattr(harness, "element_to_obj", lambda e: calls.append(e) or encode(e))
+    return calls
+
+
+def _encoded_elements(failures) -> int:
+    # element_to_obj calls that building these failures takes
+    return sum(len(f["inputs"]) + ("left" in f) + ("right" in f) for f in failures)
+
+
+def test_assoc_builds_only_the_failures_it_keeps(monkeypatch):
+    spec = SMALL_BY_MONOID["nat"]
+    monkeypatch.setattr(_Vec, "compose", _nat_hole_after_shift(_Vec.compose))
+    expected = _packed_assoc_failures(spec, _Vec(spec))
+    assert len(expected) > _REPORT_FAIL_CAP
+    calls = _count_element_to_obj(monkeypatch)
+    report = run_suite("assoc", spec)
+    assert json.loads(json.dumps(report.to_obj()))["failure_count"] == len(expected)
+    assert report.failures == expected[:_REPORT_FAIL_CAP]
+    assert len(calls) == _encoded_elements(report.failures) <= 5 * _REPORT_FAIL_CAP
+
+
+def test_pairwise_suites_build_only_the_failures_they_keep(monkeypatch):
+    _patch_int_compose(monkeypatch, _far_hole)
+    calls = _count_element_to_obj(monkeypatch)
+    report = run_suite("lemma-2.1", SMALL_BY_MONOID["int"])
+    assert report.failure_count > _REPORT_FAIL_CAP
+    assert len(calls) == _encoded_elements(report.failures) == 2 * _REPORT_FAIL_CAP
 
 
 @pytest.mark.parametrize("spec", [SMALL_BY_MONOID["nat"], SMALL_BY_MONOID["int"]])
