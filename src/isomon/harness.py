@@ -12,11 +12,11 @@ universe's elements by default; ``_Pairwise`` scans the universe's pairs
 through a value of each element and product, with an optional ``row`` check.
 Only the packed ``assoc`` scan is its own.
 
-Suites shard their instance sequence over contiguous chunks.  With
-``--jobs`` above 1, ``run_selected`` lists its suite runs first and starts
-worker c with chunk c of every run.  A worker runs its chunks in order and
-only sends results back; the parent sends it nothing after the start, and
-merges each run's chunks in chunk order.
+Suites shard their instance sequence over contiguous chunks, merged in
+chunk order.  Only ``run_selected`` starts processes, one per chunk and at
+most one per CPU this process may use: worker c starts with chunk c of every
+run, runs them in order and only sends results back.  ``run_suite`` alone
+runs its chunks in this process.
 
 Every suite that composes pairs reads them from one product table per
 universe chunk and process (``_product_rows``): for each x in the chunk's
@@ -42,6 +42,7 @@ import contextlib
 import itertools
 import multiprocessing
 import operator
+import os
 import pickle
 import time
 import traceback
@@ -172,8 +173,8 @@ class SuiteReport:
 
 
 class _FailLog:
-    """Ordered failure collector; a chunk stores no more failures than a
-    report keeps, as a report's failures never reach past any chunk's cap."""
+    """Ordered failure collector of a chunk, and of a run's chunks merged:
+    it stores no more failures than a report keeps, and only counts the rest."""
 
     def __init__(self):
         self.items: list = []
@@ -208,10 +209,11 @@ class _FailLog:
 # is the length of the widest key a triple product can have, whose |a| <= 3S
 # takes a sign bit too.  A compose shifts a mask bit below the width left by
 # up to 2S, the |a| of a pair product, and the window check in ``key`` sees
-# the bit only if it is still in the type.  So keys are int32 when both
-# key_bits and width + 2S are at most 32 (a bit shifted to bit 31 makes the
-# mask negative, which the check sees too), else int64 when key_bits <= 63,
-# else Python ints in object arrays.  The default universes have int32 keys.
+# the bit only if it is still in the type.  So with top = max(key_bits,
+# width + 2S), keys are int32 when top <= 32 (a bit shifted to the sign bit
+# makes the mask negative, which the check sees too), else int64 when
+# top <= 64, else Python ints in object arrays.  The default universes have
+# int32 keys.
 
 
 def _shift_bits(m, k):
@@ -234,7 +236,7 @@ class _Vec:
         self.low, self.width = (1, reach) if self.nat else (-reach, 2 * reach + 1)
         self.key_bits = self.width + 2 + (3 * spec.shift_bound).bit_length()
         top = max(self.key_bits, self.width + 2 * spec.shift_bound)
-        self.dtype = np.int32 if top <= 32 else np.int64 if self.key_bits <= 63 else object
+        self.dtype = np.int32 if top <= 32 else np.int64 if top <= 64 else object
 
     def key(self, a, r, m):
         if np.any(m >> self.width):
@@ -750,63 +752,66 @@ def _worker_set(plans: list):
             conn.close()
 
 
+def _receive(task, conn):
+    """The result of ``task`` from the worker at the end of ``conn``."""
+    name, spec, lo, hi = task
+    try:
+        result, error = conn.recv()
+    except EOFError as exc:
+        raise RuntimeError(f"suite run {name}[{spec.monoid}]: the worker of "
+                           f"rows {lo} to {hi} exited without a result") from exc
+    if error is not None:
+        exc, tb = error
+        raise exc from _RemoteTraceback(tb)
+    return result
+
+
 def run_suite(name: str, spec: UniverseSpec, jobs: int = 1) -> SuiteReport:
     """Run one named suite over the given universe; deterministic for any jobs.
 
-    Inside :func:`run_selected` the chunks come from its workers, which must
-    run this suite's chunks next.
+    Called alone it runs its ``jobs`` chunks in this process, in chunk order,
+    and starts no process.  Inside :func:`run_selected` the chunks come from
+    its workers, which must run this suite's chunks next.
     """
     suite = _suite(name)
     if spec.monoid not in suite.monoids:
         raise ValueError(f"suite {name!r} does not apply to the {spec.monoid} monoid")
     start = time.perf_counter()
     tasks = _chunks(name, spec, jobs)
-    if _results is None and len(tasks) == 1:
-        parts = [_chunk_entry(tasks[0])]
-    else:
-        parts = []
-        with _worker_set([tasks]) if _results is None else contextlib.nullcontext():
-            # in chunk order, so the first error raised is the first failed chunk's
-            for (_, _, lo, hi), conn in zip(tasks, _results):
-                try:
-                    result, error = conn.recv()
-                except EOFError as exc:
-                    raise RuntimeError(f"suite run {name}[{spec.monoid}]: the worker of "
-                                       f"rows {lo} to {hi} exited without a result") from exc
-                if error is not None:
-                    exc, tb = error
-                    raise exc from _RemoteTraceback(tb)
-                parts.append(result)
+    # in chunk order, so the first error raised is the first failed chunk's
+    parts = map(_chunk_entry, tasks) if _results is None else map(_receive, tasks, _results)
     instances = 0
-    failures: list = []
-    failure_total = 0
+    log = _FailLog()
     counters = dict.fromkeys(suite.counters, 0)
     for inst, fails, total_fails, cnts in parts:
         instances += inst
-        failures.extend(fails)
-        failure_total += total_fails
+        log.extend(total_fails, fails)
         for key, val in cnts.items():
             counters[key] += val
     if suite.finalize is not None:
         extra = suite.finalize(spec, counters)
-        failures.extend(extra)
-        failure_total += len(extra)
-    return SuiteReport(name, spec, instances, failures[:_REPORT_FAIL_CAP],
-                       failure_total, counters, time.perf_counter() - start)
+        log.extend(len(extra), extra)
+    return SuiteReport(name, spec, instances, log.items, log.total, counters,
+                       time.perf_counter() - start)
 
 
 def run_selected(names: list[str], bound: int | None = None,
                  shift_bound: int | None = None, jobs: int = 1) -> list[SuiteReport]:
     """Run suites over their default universes, with optional bound overrides.
 
-    With ``jobs`` above 1, worker c is started with chunk c of every run, so
-    each keeps the product rows of its chunks for later suites.
+    This is the only function that starts processes: one per chunk, and at
+    most one per CPU this process may use, as ``jobs`` is capped there.
+    With ``jobs`` still above 1, worker c is started with chunk c of every
+    run, so each keeps the product rows of its chunks for later suites.
     """
     runs = [(name, UniverseSpec(
                 spec.monoid,
                 spec.exception_bound if bound is None else bound,
                 spec.shift_bound if shift_bound is None else shift_bound))
             for name in names for spec in _suite(name).defaults]
+    # the CPUs this process may use, or the CPU count where none can tell
+    jobs = min(jobs, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
     with (_worker_set([_chunks(name, spec, jobs) for name, spec in runs])
           if jobs > 1 else contextlib.nullcontext()):
         return [run_suite(name, spec, jobs) for name, spec in runs]

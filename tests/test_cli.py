@@ -1,10 +1,9 @@
 import json
-import os
 
 import pytest
 
 from isomon import cli
-from isomon.cli import _worker_count, main
+from isomon.cli import main
 from isomon.jsonio import element_from_obj
 
 
@@ -234,22 +233,6 @@ def test_check_rejects_jobs_below_one(capsys, jobs):
     rc, out, err = run(capsys, "check", "--suite", "refute-fg", "--jobs", jobs)
     assert rc == 1 and out == ""
     assert err.startswith("isomon: --jobs must be at least 1")
-
-
-def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
-    # a platform without CPU affinity
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert [_worker_count(j) for j in (1, 3, 4, 5, 10 ** 6)] == [1, 3, 4, 4, 4]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # count unknown
-    assert _worker_count(8) == 1
-
-
-def test_worker_count_is_capped_at_the_cpus_the_process_may_use(monkeypatch):
-    # as under ``taskset -c 0`` on a host with more CPUs
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert [_worker_count(j) for j in (1, 2, 4)] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("obj", [

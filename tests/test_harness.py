@@ -142,11 +142,14 @@ def test_assoc_packs_every_key_that_fits_63_bits():
     (UniverseSpec("nat", 1, 8), np.int64, 19),  # 17 + 2S = 33
     (UniverseSpec("nat", 1, 11), np.int64, 25),  # 31-bit keys, but 23 + 2S = 45
     (NAT_32_BIT_KEYS, np.int64, 51),
+    (UniverseSpec("nat", 0, 16), np.int64, 17),  # 32 + 2S = 64
+    (UniverseSpec("nat", 0, 20), object, 21),  # 48-bit keys, but 40 + 2S = 80
 ])
 def test_assoc_keys_take_the_narrowest_type_that_holds_every_shift(monkeypatch, spec,
                                                                      dtype, n):
-    # keys are int32 only if both the key and a mask bit below the window's
-    # width shifted left by 2S, the most a compose shifts, fit in 32 bits
+    # keys are int32 (int64) only if both the key and a mask bit below the
+    # window's width shifted left by 2S, the most a compose shifts, fit in 32
+    # (64) bits
     vec = _Vec(spec)
     assert vec.pack(_universe(spec)).dtype == dtype
     report = run_suite("assoc", spec)
@@ -523,6 +526,58 @@ def test_lemma_3_3_reports_wrong_markers(monkeypatch):
     assert all(set(f) == {"input", "markers"} for f in report.failures)
 
 
+def _pin_cpus(patch, n):
+    # the CPUs this process may use, as run_selected reads them
+    patch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Let run_selected start up to three workers on any host."""
+    _pin_cpus(monkeypatch, 3)
+
+
+def _count_starts(patch) -> list:
+    started = []
+
+    class Counted(multiprocessing.Process):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    patch.setattr(multiprocessing, "Process", Counted)
+    return started
+
+
+@pytest.mark.parametrize("cpus, cpu_count, jobs, workers", [
+    (1, 4, 2, 0),
+    (2, 4, 6, 2),
+    (None, None, 8, 0),
+    (None, 2, 6, 2),
+], ids=["one-of-four-cpus", "two-of-four-cpus", "no-affinity-count-unknown",
+        "no-affinity-two-cpus"])
+def test_run_selected_starts_at_most_one_worker_per_cpu(monkeypatch, cpus, cpu_count,
+                                                        jobs, workers):
+    expected = [r.to_obj() for r in run_selected(["lemma-3.3"])]
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        _pin_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    started = _count_starts(monkeypatch)
+    assert [r.to_obj() for r in run_selected(["lemma-3.3"], jobs=jobs)] == expected
+    assert len(started) == workers
+    assert not multiprocessing.active_children()
+
+
+def test_run_suite_alone_starts_no_process(monkeypatch):
+    _pin_cpus(monkeypatch, 4)
+    expected = run_suite("lemma-3.3", NAT_DEFAULT).to_obj()
+    started = _count_starts(monkeypatch)
+    assert run_suite("lemma-3.3", NAT_DEFAULT, jobs=3).to_obj() == expected
+    assert started == []
+
+
 def test_default_specs(monkeypatch):
     assert SUITES["assoc"].defaults == (NAT_DEFAULT, INT_DEFAULT)
     assert SUITES["lemma-2.1"].defaults == (INT_DEFAULT,)
@@ -543,7 +598,7 @@ def test_reports_are_deterministic_across_jobs():
     runs += [(UniverseSpec("int", 1, 2), name) for name in
              ("assoc", "lemma-2.1", "sigma-hom")]
     for spec, name in runs:
-        # workers start without product rows, so each builds its own chunk's
+        # each chunk builds its own product rows
         _chunk_table.cache_clear()
         sharded = run_suite(name, spec, jobs=3).to_obj()
         single = run_suite(name, spec, jobs=1).to_obj()
@@ -551,7 +606,8 @@ def test_reports_are_deterministic_across_jobs():
 
 
 @pytest.mark.parametrize("fault", [None, _far_hole])
-def test_run_selected_is_deterministic_when_workers_reuse_rows(monkeypatch, fault):
+def test_run_selected_is_deterministic_when_workers_reuse_rows(monkeypatch, three_cpus,
+                                                               fault):
     # a wrong compose makes most suites fail in several chunks, so a merge
     # out of chunk order changes the stored failures
     if fault is not None:
@@ -572,7 +628,7 @@ def test_run_selected_is_deterministic_when_workers_reuse_rows(monkeypatch, faul
     assert any(len(r["failures"]) > 1 for r in runs[0]) == (fault is not None)
 
 
-def test_worker_failures_propagate(monkeypatch):
+def test_worker_failures_propagate(monkeypatch, three_cpus):
     names = ["lemma-3.3", "filtration"]
     expected = [r.to_obj() for r in run_selected(names, jobs=1)]
 
@@ -595,7 +651,7 @@ def test_run_selected_of_no_suites_is_empty():
     assert not multiprocessing.active_children()
 
 
-def test_the_earliest_failing_run_raises_first(monkeypatch):
+def test_the_earliest_failing_run_raises_first(monkeypatch, three_cpus):
     def failing(name, start):
         def chunk(spec, instances, lo, hi, log, counters):
             if lo >= start:
@@ -612,18 +668,18 @@ def test_the_earliest_failing_run_raises_first(monkeypatch):
     assert not multiprocessing.active_children()
 
 
-def test_worker_word_syntax_errors_arrive_intact(monkeypatch):
+def test_worker_word_syntax_errors_arrive_intact(monkeypatch, three_cpus):
     def failing(text):
         raise WordSyntaxError("forced", 3)
 
     monkeypatch.setattr(harness, "parse", failing)
     with pytest.raises(WordSyntaxError) as err:
-        run_suite("decompose-roundtrip", UniverseSpec("nat", 2, 1), jobs=2)
+        run_selected(["decompose-roundtrip"], bound=2, shift_bound=1, jobs=2)
     assert str(err.value) == "forced (offset 3)" and err.value.offset == 3
     assert not multiprocessing.active_children()
 
 
-def test_a_worker_that_exits_without_a_result_is_named(monkeypatch):
+def test_a_worker_that_exits_without_a_result_is_named(monkeypatch, three_cpus):
     def exiting(spec, instances, lo, hi, log, counters):
         os._exit(3)
 
@@ -642,7 +698,7 @@ class _LockHolder(Exception):
         self.lock = threading.Lock()
 
 
-def test_worker_errors_that_cannot_be_pickled_name_their_type(monkeypatch):
+def test_worker_errors_that_cannot_be_pickled_name_their_type(monkeypatch, three_cpus):
     def failing(spec, instances, lo, hi, log, counters):
         raise _LockHolder(f"chunk from {lo}")
 
