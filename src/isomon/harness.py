@@ -674,9 +674,11 @@ def _suite(name: str) -> _Suite:
 
 
 def _chunks(name: str, spec: UniverseSpec, jobs: int) -> list:
-    """A run's tasks: its instances split into at most ``jobs`` contiguous chunks."""
+    """A run's tasks: its instances split into at most ``jobs`` (>= 1) contiguous chunks."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
     total = len(SUITES[name].instances(spec))
-    parts = max(1, min(jobs, total))
+    parts = min(jobs, total)
     return [(name, spec, total * c // parts, total * (c + 1) // parts)
             for c in range(parts)]
 
@@ -769,9 +771,10 @@ def _receive(task, conn):
 def run_suite(name: str, spec: UniverseSpec, jobs: int = 1) -> SuiteReport:
     """Run one named suite over the given universe; deterministic for any jobs.
 
-    Called alone it runs its ``jobs`` chunks in this process, in chunk order,
-    and starts no process.  Inside :func:`run_selected` the chunks come from
-    its workers, which must run this suite's chunks next.
+    ``jobs`` below 1 is refused before any chunk runs.  Called alone it runs
+    its ``jobs`` chunks in this process, in chunk order, and starts no
+    process.  Inside :func:`run_selected` the chunks come from its workers,
+    which must run this suite's chunks next.
     """
     suite = _suite(name)
     if spec.monoid not in suite.monoids:

@@ -6,8 +6,8 @@ Composition reads left to right, as everywhere in the library.
 
 An element is stored written out, the way a nat element is: as one key
 tuple ``(a, reflect, holes)``, the unit x -> x + a (or x -> a - x when
-``reflect``) and the sorted tuple of holes, with the key's hash computed
-once.  Equality and hash are on the key.  ``.unit`` (a ``ZIsometry``) and
+``reflect``) and the sorted tuple of holes.  Equality and hash are on the
+key, and the key is all an element stores.  ``.unit`` (a ``ZIsometry``) and
 ``.exceptions`` (a ``FiniteIntSet``) are views, built from the key on each
 access.  Composition and inversion are integer arithmetic on the parts: the
 right operand's holes are pulled back in order, which a translation keeps
@@ -43,7 +43,7 @@ _set = object.__setattr__
 # repr are written out, and both fields are read through their views.
 @dataclass(frozen=True, init=False, repr=False, eq=False)
 class IntIsometry:
-    __slots__ = ("key", "_hash")
+    __slots__ = ("key",)
 
     unit: ZIsometry
     exceptions: FiniteIntSet
@@ -52,9 +52,7 @@ class IntIsometry:
                  exceptions: Iterable[int] = FiniteIntSet()):
         if not isinstance(exceptions, FiniteIntSet):
             exceptions = FiniteIntSet(exceptions)
-        key = (unit.a, unit.reflect, exceptions.items)
-        _set(self, "key", key)
-        _set(self, "_hash", hash(key))
+        _set(self, "key", (unit.a, unit.reflect, exceptions.items))
 
     @property
     def unit(self) -> ZIsometry:
@@ -72,7 +70,7 @@ class IntIsometry:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.key)
 
     def __repr__(self) -> str:
         return f"IntIsometry(unit={self.unit!r}, exceptions={self.exceptions!r})"
@@ -119,9 +117,7 @@ class IntIsometry:
 def _make(a: int, reflect: bool, holes: tuple) -> IntIsometry:
     """An element from its parts, unchecked: ``holes`` sorted and distinct."""
     g = object.__new__(IntIsometry)
-    key = (a, reflect, holes)
-    _set(g, "key", key)
-    _set(g, "_hash", hash(key))
+    _set(g, "key", (a, reflect, holes))
     return g
 
 

@@ -11,8 +11,7 @@ from .natmonoid import NatIsometry
 
 def element_to_obj(e: NatIsometry | IntIsometry) -> dict:
     if isinstance(e, NatIsometry):
-        return {"kind": "nat", "shift": e.shift,
-                "exceptions": [*range(1, e.prefix + 1), *e.holes]}
+        return {"kind": "nat", "shift": e.shift, "exceptions": list(e.exceptions.items)}
     if isinstance(e, IntIsometry):
         a, reflect, holes = e.key
         return {"kind": "int", "a": a, "reflect": reflect, "exceptions": list(holes)}
@@ -46,14 +45,17 @@ def element_from_obj(obj: dict) -> NatIsometry | IntIsometry:
         if not isinstance(items, list):
             raise ValueError(f"exceptions: expected a JSON array, got {items!r}")
         exc = increasing_set([_integer(x) for x in items], "exceptions")
-        if kind == "nat":
-            return NatIsometry(_integer(obj["shift"]), exc)
-        reflect = obj["reflect"]
-        if not isinstance(reflect, bool):
-            raise ValueError(f"expected a JSON boolean, got {reflect!r}")
-        return IntIsometry(ZIsometry(_integer(obj["a"]), reflect), exc)
+        if kind == "int" and not isinstance(obj["reflect"], bool):
+            raise ValueError(f"expected a JSON boolean, got {obj['reflect']!r}")
+        e = (NatIsometry(_integer(obj["shift"]), exc) if kind == "nat" else
+             IntIsometry(ZIsometry(_integer(obj["a"]), obj["reflect"]), exc))
     except KeyError as err:
         raise ValueError(f"malformed element object: {err}") from err
+    # checked last, so that a missing field, an unknown kind or a wrong type is named first
+    own = ("shift",) if kind == "nat" else ("a", "reflect")
+    if extra := sorted(obj.keys() - {"kind", "exceptions", *own}):
+        raise ValueError(f"unexpected fields for kind {kind!r}: {extra}")
+    return e
 
 
 def isoz_to_obj(u: ZIsometry) -> dict:

@@ -306,6 +306,39 @@ def test_malformed_elements_are_refused(tmp_path, capsys, command, content, mess
     assert err == f"isomon: {message}\n"
 
 
+@pytest.mark.parametrize("content, message", [
+    ({**NAT, "reflect": True, "junk": 1},
+     "unexpected fields for kind 'nat': ['junk', 'reflect']"),
+    ({**NAT, "a": 0}, "unexpected fields for kind 'nat': ['a']"),
+    ({"kind": "int", "a": 0, "reflect": False, "exceptions": [], "shift": 1},
+     "unexpected fields for kind 'int': ['shift']"),
+], ids=["nat-with-reflect-and-junk", "nat-with-a", "int-with-shift"])
+def test_fields_outside_the_kind_are_refused(tmp_path, capsys, content, message):
+    with pytest.raises(ValueError) as err:
+        element_from_obj(content)
+    assert str(err.value) == message
+    rc, out, err = run(capsys, "sigma", write_element(tmp_path, "g.json", content))
+    assert rc == 1 and out == ""
+    assert err == f"isomon: {message}\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    ({"kind": "nat", "exceptions": [], "junk": 1}, "malformed element object: 'shift'"),
+    ({"kind": "int", "reflect": False, "exceptions": [], "shift": 0},
+     "malformed element object: 'a'"),
+    ({"kind": "rat", "shift": 0, "exceptions": [], "junk": 1}, "unknown element kind 'rat'"),
+    ({"kind": "int", "a": 0, "reflect": "no", "exceptions": [], "shift": 1},
+     "expected a JSON boolean, got 'no'"),
+    ({**NAT, "shift": 1.5, "a": 0}, "expected a JSON integer, got 1.5"),
+    ({**NAT, "shift": -1, "a": 0}, "shift -1 maps the domain minimum 1 below 1"),
+], ids=["missing-field", "int-missing-field", "unknown-kind", "wrong-type", "not-an-int",
+        "invalid-element"])
+def test_extra_fields_are_named_only_after_every_other_fault(content, message):
+    with pytest.raises(ValueError) as err:
+        element_from_obj(content)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("command", ["compose", "refute-fg"])
 def test_deeply_nested_json_is_refused(tmp_path, capsys, command):
     # deep enough that the decoder runs out of recursion depth

@@ -13,9 +13,9 @@ from isomon.harness import (_REPORT_FAIL_CAP, INT_DEFAULT, NAT_DEFAULT, SUITES,
                             UniverseSpec, _chunk_table, _product_rows, _universe,
                             _Vec, count_universe, enumerate_universe,
                             run_selected, run_suite)
-from isomon.homs import hom_translation, hom_z2
+from isomon.homs import FiniteTailMap, extend_in, hom_translation, hom_z2
 from isomon.jsonio import element_to_obj
-from isomon.natmonoid import is_bicyclic
+from isomon.natmonoid import gen_a, is_bicyclic
 from isomon.words import WordSyntaxError
 
 
@@ -526,6 +526,72 @@ def test_lemma_3_3_reports_wrong_markers(monkeypatch):
     assert all(set(f) == {"input", "markers"} for f in report.failures)
 
 
+def _full_units_not_refused(patch):
+    # the empty set gets no isometries in place of a FullUnitsError
+    real = harness.restriction_isometries
+    patch.setattr(harness, "restriction_isometries", lambda exc: real(exc) if exc else ())
+
+
+def _symmetry_dropped(patch):
+    real = harness.restriction_isometries
+    patch.setattr(harness, "restriction_isometries", lambda exc: real(exc)[:1])
+
+
+def _wrong_certificate(patch):
+    real = harness.refute_finite_generation
+    patch.setattr(harness, "refute_finite_generation",
+                  lambda gens: dataclasses.replace(real(gens), certificate=5))
+
+
+def _int_obj(a, reflect, exceptions):
+    return {"kind": "int", "a": a, "reflect": reflect, "exceptions": exceptions}
+
+
+# each failure record that only a faulty library produces: (suite, universe,
+# fault, failure count, first failure)
+FAILURE_RECORDS = {
+    "lemma-2.9-empty-set": (
+        "lemma-2.9-oracle", UniverseSpec("int", 1, 0), _full_units_not_refused, 1,
+        {"exceptions": [], "got": "FullUnits"}),
+    "lemma-2.9-impl-brute": (
+        "lemma-2.9-oracle", UniverseSpec("int", 1, 0), _symmetry_dropped, 7,
+        {"exceptions": [-1], "impl": [_int_obj(0, False, [-1])],
+         "brute": [_int_obj(-2, True, [-1]), _int_obj(0, False, [-1])], "hclass": "Z2"}),
+    "roundtrip-parse-print": (
+        "decompose-roundtrip", UniverseSpec("nat", 1, 1),
+        lambda patch: patch.setattr(harness, "parse", lambda text: None), 5,
+        {"input": {"kind": "nat", "shift": -1, "exceptions": [1]}, "word": "b",
+         "check": "parse/print round-trip"}),
+    "extension-of-the-identity": (
+        "example-2.13", UniverseSpec("nat", 1, 1),
+        lambda patch: patch.setattr(harness, "IDENTITY_MAP", extend_in(gen_a(), 0)), 1,
+        {"check": "extension of the identity at 0"}),
+    "extension-monotone": (
+        "example-2.13", UniverseSpec("nat", 1, 1),
+        lambda patch: patch.setattr(FiniteTailMap, "is_monotone", lambda f: False), 15,
+        {"input": {"kind": "nat", "shift": -1, "exceptions": [1]}, "n": 0,
+         "check": "monotone"}),
+    "translation-order": (
+        "cor-2.12", UniverseSpec("nat", 1, 1),
+        lambda patch: patch.setattr(ZIsometry, "order", lambda u: 2), 1,
+        {"check": "translation image must have infinite order"}),
+    "refute-witness": (
+        "refute-fg", UniverseSpec("nat", 1, 1), _wrong_certificate, 1,
+        {"witness": {"kind": "nat", "shift": 0, "exceptions": [2, 3, 4]},
+         "bound_k": 3, "certificate": 5}),
+}
+
+
+@pytest.mark.parametrize("record", FAILURE_RECORDS)
+def test_suites_report_each_failure_record_in_full(monkeypatch, record):
+    name, spec, fault, count, first = FAILURE_RECORDS[record]
+    assert run_suite(name, spec).passed
+    fault(monkeypatch)
+    report = run_suite(name, spec)
+    assert report.failure_count == count
+    assert report.failures[0] == first
+
+
 def _pin_cpus(patch, n):
     # the CPUs this process may use, as run_selected reads them
     patch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
@@ -576,6 +642,21 @@ def test_run_suite_alone_starts_no_process(monkeypatch):
     started = _count_starts(monkeypatch)
     assert run_suite("lemma-3.3", NAT_DEFAULT, jobs=3).to_obj() == expected
     assert started == []
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_suite("lemma-3.3", NAT_DEFAULT, jobs=0),
+    lambda: run_suite("lemma-3.3", NAT_DEFAULT, jobs=-3),
+    lambda: run_selected(["lemma-3.3"], jobs=-1),
+    lambda: run_selected(["lemma-3.3", "filtration"], jobs=0),
+], ids=["run-suite-0", "run-suite-minus-3", "run-selected-minus-1", "run-selected-0"])
+def test_jobs_below_one_are_refused_before_any_chunk_runs(monkeypatch, run):
+    started = _count_starts(monkeypatch)
+    chunks = []
+    monkeypatch.setattr(harness, "_chunk_entry", chunks.append)
+    with pytest.raises(ValueError, match=r"^--jobs must be at least 1, got -?[0-9]+$"):
+        run()
+    assert started == [] and chunks == []
 
 
 def test_default_specs(monkeypatch):

@@ -173,6 +173,13 @@ def test_pickle_round_trip():
         assert back.unit == g.unit and back.exceptions == g.exceptions
 
 
+def test_an_element_stores_only_its_key():
+    assert IntIsometry.__slots__ == ("key",)
+    for g in (REFLECTING, REFLECTING.inverse(), REFLECTING * REFLECTING, identity()):
+        assert hash(g) == hash(g.key)
+        assert g.key == (g.unit.a, g.unit.reflect, g.exceptions.items)
+
+
 def test_elements_are_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         REFLECTING.unit = ZIsometry(0)
