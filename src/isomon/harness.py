@@ -13,10 +13,10 @@ through a value of each element and product, with an optional ``row`` check.
 Only the packed ``assoc`` scan is its own.
 
 Suites shard their instance sequence over contiguous chunks, merged in
-chunk order.  Only ``run_selected`` starts processes, one per chunk and at
-most one per CPU this process may use: worker c starts with chunk c of every
-run, runs them in order and only sends results back.  ``run_suite`` alone
-runs its chunks in this process.
+chunk order.  Only ``run_selected`` forks processes, one per chunk and at
+most one per CPU this process may use, so none where those cannot be read:
+worker c starts with chunk c of every run, runs them in order and only sends
+results back.  ``run_suite`` alone runs its chunks in this process.
 
 Every suite that composes pairs reads them from one product table per
 universe chunk and process (``_product_rows``): for each x in the chunk's
@@ -66,6 +66,7 @@ from .words import decompose, decompose_filtered, evaluate, format_word, parse
 
 _REPORT_FAIL_CAP = 50
 _SCAN_BUDGET = 1 << 20  # elements per packed-scan array, or n * n if larger
+_JOBS_BELOW_ONE = "--jobs must be at least 1, got {}"
 
 
 @dataclass(frozen=True)
@@ -676,7 +677,7 @@ def _suite(name: str) -> _Suite:
 def _chunks(name: str, spec: UniverseSpec, jobs: int) -> list:
     """A run's tasks: its instances split into at most ``jobs`` (>= 1) contiguous chunks."""
     if jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+        raise ValueError(_JOBS_BELOW_ONE.format(jobs))
     total = len(SUITES[name].instances(spec))
     parts = min(jobs, total)
     return [(name, spec, total * c // parts, total * (c + 1) // parts)
@@ -726,19 +727,21 @@ _results: list | None = None
 def _worker_set(plans: list):
     """Worker c runs chunk c of every run's tasks in ``plans``, in order.
 
-    Every worker is terminated and joined when the block ends: after an
-    error, some may still be running later runs.
+    Workers are forked whatever the default start method, so they see this
+    process's state, patches included.  Every worker is terminated and joined
+    when the block ends: after an error, some may still be running later runs.
     """
     # Plain processes on one-way pipes: results must arrive per run, so that
     # run_suite can report and time each run, and a Pool returns a worker's
     # results only when its call ends.
     global _results
+    fork = multiprocessing.get_context("fork")
     procs, conns = [], []
     try:
         for c in range(max(map(len, plans), default=0)):
-            conn, child = multiprocessing.Pipe(duplex=False)
+            conn, child = fork.Pipe(duplex=False)
             tasks = [plan[c] for plan in plans if c < len(plan)]
-            proc = multiprocessing.Process(target=_serve, args=(child, tasks), daemon=True)
+            proc = fork.Process(target=_serve, args=(child, tasks), daemon=True)
             proc.start()
             child.close()
             procs.append(proc)
@@ -802,19 +805,19 @@ def run_selected(names: list[str], bound: int | None = None,
                  shift_bound: int | None = None, jobs: int = 1) -> list[SuiteReport]:
     """Run suites over their default universes, with optional bound overrides.
 
-    This is the only function that starts processes: one per chunk, and at
-    most one per CPU this process may use, as ``jobs`` is capped there.
-    With ``jobs`` still above 1, worker c is started with chunk c of every
-    run, so each keeps the product rows of its chunks for later suites.
+    ``jobs`` below 1 is refused first.  Then ``jobs`` is capped at the CPUs
+    this process may use, or at 1 without ``os.sched_getaffinity``.  Only
+    here do processes start: above 1, worker c is forked with chunk c of
+    every run, so each keeps the product rows of its chunks for later suites.
     """
+    if jobs < 1:
+        raise ValueError(_JOBS_BELOW_ONE.format(jobs))
     runs = [(name, UniverseSpec(
                 spec.monoid,
                 spec.exception_bound if bound is None else bound,
                 spec.shift_bound if shift_bound is None else shift_bound))
             for name in names for spec in _suite(name).defaults]
-    # the CPUs this process may use, or the CPU count where none can tell
-    jobs = min(jobs, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
+    jobs = min(jobs, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
     with (_worker_set([_chunks(name, spec, jobs) for name, spec in runs])
           if jobs > 1 else contextlib.nullcontext()):
         return [run_suite(name, spec, jobs) for name, spec in runs]

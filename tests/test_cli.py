@@ -190,6 +190,21 @@ def test_refute_fg_rejects_a_file_that_is_not_a_list(tmp_path, capsys, content):
     assert err == "isomon: generators file must hold a JSON array of elements\n"
 
 
+_INT_ELEMENT = {"kind": "int", "a": 1, "reflect": True, "exceptions": [0]}
+
+
+@pytest.mark.parametrize("argv, content, message", [
+    (["decompose"], _INT_ELEMENT, "decompose applies to nat elements"),
+    (["extend", "--n", "-1"], _INT_ELEMENT, "extend applies to nat elements"),
+    (["refute-fg"], [{"kind": "nat", "shift": 1, "exceptions": []}, _INT_ELEMENT],
+     "generators must all be nat elements"),
+], ids=["decompose", "extend", "refute-fg"])
+def test_nat_commands_refuse_int_elements(tmp_path, capsys, argv, content, message):
+    rc, out, err = run(capsys, *argv, write_element(tmp_path, "g.json", content))
+    assert rc == 1 and out == ""
+    assert err == f"isomon: {message}\n"
+
+
 def test_missing_file(capsys):
     rc, _, err = run(capsys, "sigma", "/nonexistent/g.json")
     assert rc == 1 and err

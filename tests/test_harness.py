@@ -604,14 +604,16 @@ def three_cpus(monkeypatch):
 
 
 def _count_starts(patch) -> list:
+    # the harness starts its workers from the fork context, a singleton
+    fork = multiprocessing.get_context("fork")
     started = []
 
-    class Counted(multiprocessing.Process):
+    class Counted(fork.Process):
         def start(self):
             started.append(self)
             super().start()
 
-    patch.setattr(multiprocessing, "Process", Counted)
+    patch.setattr(fork, "Process", Counted)
     return started
 
 
@@ -619,7 +621,7 @@ def _count_starts(patch) -> list:
     (1, 4, 2, 0),
     (2, 4, 6, 2),
     (None, None, 8, 0),
-    (None, 2, 6, 2),
+    (None, 2, 6, 0),
 ], ids=["one-of-four-cpus", "two-of-four-cpus", "no-affinity-count-unknown",
         "no-affinity-two-cpus"])
 def test_run_selected_starts_at_most_one_worker_per_cpu(monkeypatch, cpus, cpu_count,
@@ -649,7 +651,9 @@ def test_run_suite_alone_starts_no_process(monkeypatch):
     lambda: run_suite("lemma-3.3", NAT_DEFAULT, jobs=-3),
     lambda: run_selected(["lemma-3.3"], jobs=-1),
     lambda: run_selected(["lemma-3.3", "filtration"], jobs=0),
-], ids=["run-suite-0", "run-suite-minus-3", "run-selected-minus-1", "run-selected-0"])
+    lambda: run_selected([], jobs=0),
+], ids=["run-suite-0", "run-suite-minus-3", "run-selected-minus-1", "run-selected-0",
+        "run-selected-no-suites-0"])
 def test_jobs_below_one_are_refused_before_any_chunk_runs(monkeypatch, run):
     started = _count_starts(monkeypatch)
     chunks = []
@@ -667,7 +671,7 @@ def test_default_specs(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a worker was started")
 
-    monkeypatch.setattr(multiprocessing, "Process", refuse)
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", refuse)
     for names in (["nope"], ["lemma-3.3", "nope"]):
         with pytest.raises(ValueError, match="^unknown suite 'nope'$"):
             run_selected(names, jobs=2)
@@ -707,6 +711,30 @@ def test_run_selected_is_deterministic_when_workers_reuse_rows(monkeypatch, thre
         assert not multiprocessing.active_children()
     assert runs[0] == runs[1] == runs[2]
     assert any(len(r["failures"]) > 1 for r in runs[0]) == (fault is not None)
+
+
+@pytest.fixture
+def forkserver_default():
+    """Make forkserver the default start method, as on Linux from Python 3.14."""
+    before = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("forkserver", force=True)
+    yield
+    multiprocessing.set_start_method(before, force=True)
+
+
+def test_workers_see_a_patched_fault_whatever_the_default_start_method(
+        monkeypatch, three_cpus, forkserver_default):
+    for cls in (NatIsometry, IntIsometry):
+        wrong = _far_hole(cls.compose)
+        monkeypatch.setattr(cls, "compose", wrong)
+        monkeypatch.setattr(cls, "__mul__", wrong)
+    names = ["assoc", "inverse-axioms"]
+    serial = [r.to_obj() for r in run_selected(names, bound=2, shift_bound=1)]
+    started = _count_starts(monkeypatch)
+    assert [r.to_obj() for r in run_selected(names, bound=2, shift_bound=1,
+                                             jobs=2)] == serial
+    assert len(started) == 2 and all(r["failure_count"] for r in serial)
+    assert not multiprocessing.active_children()
 
 
 def test_worker_failures_propagate(monkeypatch, three_cpus):
