@@ -66,7 +66,6 @@ from .words import decompose, decompose_filtered, evaluate, format_word, parse
 
 _REPORT_FAIL_CAP = 50
 _SCAN_BUDGET = 1 << 20  # elements per packed-scan array, or n * n if larger
-_JOBS_BELOW_ONE = "--jobs must be at least 1, got {}"
 
 
 @dataclass(frozen=True)
@@ -674,10 +673,17 @@ def _suite(name: str) -> _Suite:
     return SUITES[name]
 
 
+def _check_jobs(jobs: int) -> None:
+    """Refuse a ``jobs`` that is not an int of at least 1, in ``--jobs`` words."""
+    if not isinstance(jobs, int) or isinstance(jobs, bool):
+        raise ValueError(f"--jobs must be an int, got {jobs!r}")
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+
+
 def _chunks(name: str, spec: UniverseSpec, jobs: int) -> list:
     """A run's tasks: its instances split into at most ``jobs`` (>= 1) contiguous chunks."""
-    if jobs < 1:
-        raise ValueError(_JOBS_BELOW_ONE.format(jobs))
+    _check_jobs(jobs)
     total = len(SUITES[name].instances(spec))
     parts = min(jobs, total)
     return [(name, spec, total * c // parts, total * (c + 1) // parts)
@@ -774,10 +780,10 @@ def _receive(task, conn):
 def run_suite(name: str, spec: UniverseSpec, jobs: int = 1) -> SuiteReport:
     """Run one named suite over the given universe; deterministic for any jobs.
 
-    ``jobs`` below 1 is refused before any chunk runs.  Called alone it runs
-    its ``jobs`` chunks in this process, in chunk order, and starts no
-    process.  Inside :func:`run_selected` the chunks come from its workers,
-    which must run this suite's chunks next.
+    A ``jobs`` that is not an int, or is below 1, is refused before any chunk
+    runs.  Called alone it runs its ``jobs`` chunks in this process, in chunk
+    order, and starts no process.  Inside :func:`run_selected` the chunks
+    come from its workers, which must run this suite's chunks next.
     """
     suite = _suite(name)
     if spec.monoid not in suite.monoids:
@@ -805,13 +811,13 @@ def run_selected(names: list[str], bound: int | None = None,
                  shift_bound: int | None = None, jobs: int = 1) -> list[SuiteReport]:
     """Run suites over their default universes, with optional bound overrides.
 
-    ``jobs`` below 1 is refused first.  Then ``jobs`` is capped at the CPUs
-    this process may use, or at 1 without ``os.sched_getaffinity``.  Only
-    here do processes start: above 1, worker c is forked with chunk c of
-    every run, so each keeps the product rows of its chunks for later suites.
+    A ``jobs`` that is not an int, or is below 1, is refused first.  Then
+    ``jobs`` is capped at the CPUs this process may use, or at 1 without
+    ``os.sched_getaffinity``.  Only here do processes start: above 1, worker
+    c is forked with chunk c of every run, so each keeps the product rows of
+    its chunks for later suites.
     """
-    if jobs < 1:
-        raise ValueError(_JOBS_BELOW_ONE.format(jobs))
+    _check_jobs(jobs)
     runs = [(name, UniverseSpec(
                 spec.monoid,
                 spec.exception_bound if bound is None else bound,

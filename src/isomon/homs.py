@@ -29,12 +29,13 @@ class FiniteTailMap:
 
     ``x -> x + neg_shift`` for ``x <= neg_threshold``, ``x -> x + pos_shift``
     for ``x >= pos_threshold``, an explicit finite middle in between, and
-    holes elsewhere.  The middle is stored once, as a dict from input to
-    image; ``middle`` is its sorted view, built on each access.  Instances
+    holes elsewhere.  The map is checked as given: ordered thresholds,
+    disjoint tail images, and distinct middle inputs between the thresholds
+    with distinct outputs between the tail images.  The middle is stored once,
+    as a dict; ``middle`` is its sorted view, built on each access.  Instances
     are canonical: middle pairs that agree with a tail rule are absorbed into
-    the tail, and a map that is a single total shift is stored with
-    thresholds (0, 1).  Structural equality therefore coincides with
-    equality of maps.
+    the tail, and a single total shift is stored with thresholds (0, 1), so
+    structural equality coincides with equality of maps.
     """
 
     __slots__ = ("neg_threshold", "neg_shift", "pos_threshold", "pos_shift", "_mid")
@@ -45,13 +46,22 @@ class FiniteTailMap:
         nt, ns, pt, ps = neg_threshold, neg_shift, pos_threshold, pos_shift
         if nt >= pt:
             raise ValueError("negative tail must end before the positive tail")
+        lo, hi = nt + ns, pt + ps
+        if lo >= hi:
+            raise ValueError("tail ranges overlap; the map is not injective")
         pairs: dict[int, int] = {}
+        seen: set[int] = set()
         for x, y in middle:
             if not nt < x < pt:
                 raise ValueError(f"middle input {x} outside ({nt}, {pt})")
             if x in pairs:
                 raise ValueError(f"duplicate middle input {x}")
+            if not lo < y < hi:
+                raise ValueError(f"middle output {y} collides with a tail range")
+            if y in seen:
+                raise ValueError(f"duplicate middle output {y}")
             pairs[x] = y
+            seen.add(y)
 
         # absorb into each tail the run of middle pairs that continues it;
         # trimming one tail never lets the other absorb more
@@ -63,17 +73,6 @@ class FiniteTailMap:
             pt -= 1
         if not pairs and pt == nt + 1 and ns == ps:
             nt, pt = 0, 1
-
-        lo, hi = nt + ns, pt + ps
-        if lo >= hi:
-            raise ValueError("tail ranges overlap; the map is not injective")
-        seen: set[int] = set()
-        for x, y in pairs.items():
-            if not lo < y < hi:
-                raise ValueError(f"middle output {y} collides with a tail range")
-            if y in seen:
-                raise ValueError(f"duplicate middle output {y}")
-            seen.add(y)
 
         self.neg_threshold, self.neg_shift = nt, ns
         self.pos_threshold, self.pos_shift = pt, ps

@@ -40,6 +40,15 @@ cat > int-gens.json <<'EOF'
 [{"kind": "nat", "shift": 1, "exceptions": []},
  {"kind": "int", "a": -1, "reflect": false, "exceptions": [-2, 5]}]
 EOF
+cat > nat-identity.json <<'EOF'
+{"kind": "nat", "shift": 0, "exceptions": []}
+EOF
+cat > nat-hole-3.json <<'EOF'
+{"kind": "nat", "shift": 0, "exceptions": [3]}
+EOF
+cat > nat-shift-2.json <<'EOF'
+{"kind": "nat", "shift": 2, "exceptions": []}
+EOF
 cat > rat.json <<'EOF'
 {"kind": "rat", "shift": 1, "exceptions": []}
 EOF
@@ -70,6 +79,12 @@ run hclass --exceptions 0,2,3
 run order --a 3 --reflect
 run extend --n -2 word.json
 run extend --n -2 nat-left.json
+# canonical forms: the total shift (0, 1), 1 and 2 absorbed into the
+# negative tail at --n 0 but kept as middle pairs at --n -2, and a shift
+run extend --n 0 nat-identity.json
+run extend --n 0 nat-hole-3.json
+run extend --n -2 nat-hole-3.json
+run extend --n -1 nat-shift-2.json
 run refute-fg gens.json
 
 # error paths, each an "isomon: " message and exit 1, and two words that

@@ -646,19 +646,32 @@ def test_run_suite_alone_starts_no_process(monkeypatch):
     assert started == []
 
 
-@pytest.mark.parametrize("run", [
-    lambda: run_suite("lemma-3.3", NAT_DEFAULT, jobs=0),
-    lambda: run_suite("lemma-3.3", NAT_DEFAULT, jobs=-3),
-    lambda: run_selected(["lemma-3.3"], jobs=-1),
-    lambda: run_selected(["lemma-3.3", "filtration"], jobs=0),
-    lambda: run_selected([], jobs=0),
+_BELOW_ONE = r"^--jobs must be at least 1, got -?[0-9]+$"
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: run_suite("lemma-3.3", NAT_DEFAULT, jobs=0), _BELOW_ONE),
+    (lambda: run_suite("lemma-3.3", NAT_DEFAULT, jobs=-3), _BELOW_ONE),
+    (lambda: run_selected(["lemma-3.3"], jobs=-1), _BELOW_ONE),
+    (lambda: run_selected(["lemma-3.3", "filtration"], jobs=0), _BELOW_ONE),
+    (lambda: run_selected([], jobs=0), _BELOW_ONE),
+    (lambda: run_suite("lemma-3.3", NAT_DEFAULT, jobs=2.5),
+     r"^--jobs must be an int, got 2\.5$"),
+    (lambda: run_suite("lemma-3.3", NAT_DEFAULT, jobs=True),
+     r"^--jobs must be an int, got True$"),
+    (lambda: run_suite("lemma-3.3", NAT_DEFAULT, jobs="2"),
+     r"^--jobs must be an int, got '2'$"),
+    (lambda: run_selected(["lemma-3.3"], jobs=2.5), r"^--jobs must be an int, got 2\.5$"),
+    (lambda: run_selected(["lemma-3.3"], jobs=True), r"^--jobs must be an int, got True$"),
+    (lambda: run_selected(["lemma-3.3"], jobs="2"), r"^--jobs must be an int, got '2'$"),
 ], ids=["run-suite-0", "run-suite-minus-3", "run-selected-minus-1", "run-selected-0",
-        "run-selected-no-suites-0"])
-def test_jobs_below_one_are_refused_before_any_chunk_runs(monkeypatch, run):
+        "run-selected-no-suites-0", "run-suite-2.5", "run-suite-true", "run-suite-str",
+        "run-selected-2.5", "run-selected-true", "run-selected-str"])
+def test_jobs_below_one_are_refused_before_any_chunk_runs(monkeypatch, run, message):
     started = _count_starts(monkeypatch)
     chunks = []
     monkeypatch.setattr(harness, "_chunk_entry", chunks.append)
-    with pytest.raises(ValueError, match=r"^--jobs must be at least 1, got -?[0-9]+$"):
+    with pytest.raises(ValueError, match=message):
         run()
     assert started == [] and chunks == []
 
