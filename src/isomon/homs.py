@@ -2,8 +2,9 @@
 
 ``extend_in`` embeds a partial isometry of the positive integers into the
 cofinite partial bijections of the whole integer line by gluing an identity
-tail below a chosen non-positive point; ``FiniteTailMap`` is the codomain
-representation (two shift tails plus a finite explicit middle).
+tail below a chosen non-positive point; ``FiniteTailMap`` is the codomain:
+two shift tails, the positive one stored by its holes, an explicit middle,
+and ``middle`` and ``pos_threshold`` as views built on each access.
 
 ``hom_translation`` and ``hom_z2`` realize the two non-trivial shapes a
 homomorphism into the integer-line monoid can take.
@@ -14,6 +15,7 @@ certificate.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -29,21 +31,25 @@ class FiniteTailMap:
 
     ``x -> x + neg_shift`` for ``x <= neg_threshold``, ``x -> x + pos_shift``
     for ``x >= pos_threshold``, an explicit finite middle in between, and
-    holes elsewhere.  The map is checked as given: ordered thresholds,
-    disjoint tail images, and distinct middle inputs between the thresholds
-    with distinct outputs between the tail images.  The middle is stored once,
-    as a dict; ``middle`` is its sorted view, built on each access.  Instances
-    are canonical: middle pairs that agree with a tail rule are absorbed into
-    the tail, and a single total shift is stored with thresholds (0, 1), so
-    structural equality coincides with equality of maps.
+    holes elsewhere.  The map is checked as given: int parts, ordered
+    thresholds, disjoint tail images, and distinct middle inputs between the
+    thresholds with distinct outputs between the tail images.
+
+    Stored form: the maximal negative tail; ``_pt``, the least defined point
+    with only holes (the sorted tuple ``_holes``) and shifted points above
+    it, so a shifted block costs its holes, not its length; and the dict
+    ``_mid`` between.  ``pos_threshold`` and ``middle`` are views, built on
+    each access.  A total shift has thresholds (0, 1), so structural
+    equality is map equality.
     """
 
-    __slots__ = ("neg_threshold", "neg_shift", "pos_threshold", "pos_shift", "_mid")
+    __slots__ = ("neg_threshold", "neg_shift", "_pt", "pos_shift", "_mid", "_holes")
 
     def __init__(self, neg_threshold: int, neg_shift: int,
                  pos_threshold: int, pos_shift: int,
                  middle: Iterable[tuple[int, int]] = ()):
         nt, ns, pt, ps = neg_threshold, neg_shift, pos_threshold, pos_shift
+        _check_ints("thresholds and shifts must be ints", nt, ns, pt, ps)
         if nt >= pt:
             raise ValueError("negative tail must end before the positive tail")
         lo, hi = nt + ns, pt + ps
@@ -52,6 +58,7 @@ class FiniteTailMap:
         pairs: dict[int, int] = {}
         seen: set[int] = set()
         for x, y in middle:
+            _check_ints("middle pairs must be pairs of ints", x, y)
             if not nt < x < pt:
                 raise ValueError(f"middle input {x} outside ({nt}, {pt})")
             if x in pairs:
@@ -62,72 +69,107 @@ class FiniteTailMap:
                 raise ValueError(f"duplicate middle output {y}")
             pairs[x] = y
             seen.add(y)
+        _canonical(nt, ns, pt, ps, pairs, (), self)
 
-        # absorb into each tail the run of middle pairs that continues it;
-        # trimming one tail never lets the other absorb more
-        while nt + 1 < pt and pairs.get(nt + 1) == nt + 1 + ns:
-            del pairs[nt + 1]
-            nt += 1
-        while pt - 1 > nt and pairs.get(pt - 1) == pt - 1 + ps:
-            del pairs[pt - 1]
-            pt -= 1
-        if not pairs and pt == nt + 1 and ns == ps:
-            nt, pt = 0, 1
-
-        self.neg_threshold, self.neg_shift = nt, ns
-        self.pos_threshold, self.pos_shift = pt, ps
-        self._mid = pairs
+    @property
+    def pos_threshold(self) -> int:
+        """The least point from which every point maps by ``pos_shift``."""
+        return self._holes[-1] + 1 if self._holes else self._pt
 
     @property
     def middle(self) -> tuple[tuple[int, int], ...]:
-        """The middle pairs ``(x, image)``, sorted by input."""
-        return tuple(sorted(self._mid.items()))
+        """The middle pairs ``(x, image)``, sorted by input, block points too."""
+        ps, holes = self.pos_shift, self._holes
+        return (*sorted(self._mid.items()),
+                *((x, x + ps) for a, b in zip((self._pt - 1, *holes), holes)
+                  for x in range(a + 1, b)))
 
-    def _tails(self):
-        return self.neg_threshold, self.neg_shift, self.pos_threshold, self.pos_shift
+    def _parts(self):
+        return self.neg_threshold, self.neg_shift, self._pt, self.pos_shift, self._holes
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FiniteTailMap):
-            return self._tails() == other._tails() and self._mid == other._mid
+            return self._parts() == other._parts() and self._mid == other._mid
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((*self._tails(), self.middle))
+        return hash((*self._parts(), frozenset(self._mid.items())))
 
     def __repr__(self) -> str:
-        return ("FiniteTailMap(neg=({0}, {1}), pos=({2}, {3}), middle={4})"
-                .format(*self._tails(), self.middle))
+        return (f"FiniteTailMap(neg=({self.neg_threshold}, {self.neg_shift}), "
+                f"pos=({self.pos_threshold}, {self.pos_shift}), middle={self.middle})")
 
     def apply(self, x: int) -> int | None:
         if x <= self.neg_threshold:
             return x + self.neg_shift
-        if x >= self.pos_threshold:
-            return x + self.pos_shift
+        if x >= self._pt:
+            return None if x in self._holes else x + self.pos_shift
         return self._mid.get(x)
 
     def compose(self, other: "FiniteTailMap") -> "FiniteTailMap":
         """Composite mapping x to other(self(x)), where both legs are defined."""
-        lo = min(self.neg_threshold, other.neg_threshold - self.neg_shift)
-        hi = max(self.pos_threshold, other.pos_threshold - self.pos_shift)
-        mid = []
-        for x in range(lo + 1, hi):
-            y = self.apply(x)
-            z = other.apply(y) if y is not None else None
-            if z is not None:
-                mid.append((x, z))
-        return FiniteTailMap(lo, self.neg_shift + other.neg_shift,
-                             hi, self.pos_shift + other.pos_shift, mid)
+        nt1, ns1, pt1, ps1 = self.neg_threshold, self.neg_shift, self._pt, self.pos_shift
+        nt2, ns2, pt2, ps2 = other.neg_threshold, other.neg_shift, other._pt, other.pos_shift
+        holes1, holes2 = self._holes, other._holes
+        nt = nt1 if nt1 < nt2 - ns1 else nt2 - ns1
+        pt = pt1 if pt1 > pt2 - ps1 else pt2 - ps1
+        mid = {x: z for x, y in self._mid.items()
+               if (z := other.apply(y)) is not None} if self._mid else {}
+        for y, z in other._mid.items():  # pulled back through self's tails
+            if y - ns1 <= nt1:
+                mid[y - ns1] = z
+            elif y - ps1 >= pt1 and y - ps1 not in holes1:
+                mid[y - ps1] = z
+        if pt2 - ns1 <= nt1:  # self's negative tail lands in other's positive tail
+            mid.update((x, x + ns1 + ps2) for x in range(pt2 - ns1, nt1 + 1)
+                       if x + ns1 not in holes2)
+        if pt1 <= nt2 - ps1:  # and the other way round
+            mid.update((x, x + ps1 + ns2) for x in range(pt1, nt2 - ps1 + 1)
+                       if x not in holes1)
+        holes1 = holes1[bisect_left(holes1, pt):]
+        holes2 = holes2[bisect_left(holes2, pt + ps1):]
+        if holes2:
+            pulled = [h - ps1 for h in holes2]
+            holes1 = tuple(sorted({*holes1, *pulled}) if holes1 else pulled)
+        return _canonical(nt, ns1 + ns2, pt, ps1 + ps2, mid, holes1)
 
     __mul__ = compose
 
     def is_monotone(self) -> bool:
         """True when the map is order-preserving on its whole domain."""
-        prev = self.neg_threshold + self.neg_shift
-        for _, y in self.middle:
-            if y <= prev:
-                return False
-            prev = y
-        return prev < self.pos_threshold + self.pos_shift
+        ys = (self.neg_threshold + self.neg_shift, *(y for _, y in sorted(self._mid.items())),
+              self._pt + self.pos_shift)
+        return all(a < b for a, b in zip(ys, ys[1:]))
+
+
+def _check_ints(what: str, *values) -> None:
+    if bad := [v for v in values if not isinstance(v, int) or isinstance(v, bool)]:
+        raise ValueError(f"{what}, got {bad[0]!r}")
+
+
+def _canonical(nt, ns, pt, ps, mid: dict, holes: tuple, f=None) -> FiniteTailMap:
+    """The map of these parts in canonical form, in f or a new instance; unchecked:
+    ``mid`` is over the gap (nt, pt), ``holes`` every undefined point from pt on."""
+    while mid and mid.get(nt + 1) == nt + 1 + ns:
+        del mid[nt + 1]
+        nt += 1
+    if nt + 1 == pt and ns == ps:  # the tails meet, up to the first hole
+        nt, pt = (holes[0] - 1, holes[0]) if holes else (0, 1)
+    if holes and holes[0] == pt:  # a defined point begins the positive tail
+        i = 1
+        while i < len(holes) and holes[i] == pt + i:
+            i += 1
+        pt, holes = pt + i, holes[i:]
+    keys, low = sorted(mid) if mid else [], pt
+    while keys and mid[keys[-1]] == keys[-1] + ps:  # shifted points atop the gap
+        low = keys.pop()
+    if low < pt:
+        holes = (*(x for x in range(low + 1, pt) if x not in mid), *holes)
+        pt, mid = low, {x: mid[x] for x in keys}
+    f = object.__new__(FiniteTailMap) if f is None else f
+    f.neg_threshold, f.neg_shift, f.pos_shift = nt, ns, ps
+    f._pt, f._mid, f._holes = pt, mid, holes
+    return f
 
 
 IDENTITY_MAP = FiniteTailMap(0, 0, 1, 0)
@@ -138,12 +180,10 @@ def extend_in(g: NatIsometry, n: int) -> FiniteTailMap:
 
     The points ``n+1 .. 0`` and g's own exceptions stay outside the domain.
     """
+    _check_ints("extension point must be an int", n)
     if n > 0:
         raise ValueError(f"extension point must be <= 0, got {n}")
-    tail_from = g.markers().nd_high
-    holes = set(g.holes)
-    mid = [(x, x + g.shift) for x in range(g.prefix + 1, tail_from) if x not in holes]
-    return FiniteTailMap(n, 0, tail_from, g.shift, mid)
+    return _canonical(n, 0, g.prefix + 1, g.shift, {}, g.holes)
 
 
 def hom_translation(g: NatIsometry) -> IntIsometry:

@@ -49,6 +49,15 @@ EOF
 cat > nat-shift-2.json <<'EOF'
 {"kind": "nat", "shift": 2, "exceptions": []}
 EOF
+cat > nat-holes-3-7.json <<'EOF'
+{"kind": "nat", "shift": 0, "exceptions": [3, 7]}
+EOF
+cat > nat-run-4-5.json <<'EOF'
+{"kind": "nat", "shift": 2, "exceptions": [4, 5, 9]}
+EOF
+cat > nat-down-2.json <<'EOF'
+{"kind": "nat", "shift": -2, "exceptions": [1, 2, 5]}
+EOF
 cat > rat.json <<'EOF'
 {"kind": "rat", "shift": 1, "exceptions": []}
 EOF
@@ -85,6 +94,11 @@ run extend --n 0 nat-identity.json
 run extend --n 0 nat-hole-3.json
 run extend --n -2 nat-hole-3.json
 run extend --n -1 nat-shift-2.json
+# the positive tail stored by its holes: the negative tail through 1..2 and
+# a hole left above it, a run of consecutive holes, and a down shift
+run extend --n 0 nat-holes-3-7.json
+run extend --n -1 nat-run-4-5.json
+run extend --n -2 nat-down-2.json
 run refute-fg gens.json
 
 # error paths, each an "isomon: " message and exit 1, and two words that

@@ -1,10 +1,10 @@
 """Composition, inversion, the word decompositions and the extension to the
-integer line against the pointwise oracles, on elements far outside every
-harness universe: long prefixes, large shifts of both signs, sparse far holes
-and negative int holes.  Each comparison runs on a sparse window of domain
-points that covers every place where the domain of an operand or of the
-result changes (the end of a nat prefix, every sparse hole), their
-neighbours, and a few drawn points."""
+integer line, with products of extensions, against the pointwise oracles, on
+elements far outside every harness universe: long prefixes, large shifts of
+both signs, sparse far holes and negative int holes.  Each comparison runs on
+a sparse window of domain points that covers every place where the domain of
+an operand or of the result changes (the end of a nat prefix, every sparse
+hole), their neighbours, and a few drawn points."""
 
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -14,7 +14,7 @@ from isomon import (FiniteIntSet, IntIsometry, NatIsometry, ZIsometry, decompose
 from isomon.natmonoid import _make
 
 from oracles import (agree_on, compose_points, int_is_canonical, int_points_on,
-                     nat_domain, nat_is_canonical, nat_points_on, word_apply)
+                     nat_is_canonical, nat_points_on, word_apply)
 
 FAR = 10 ** 6
 
@@ -134,12 +134,32 @@ def test_decompose_filtered_matches_the_oracle(g, slack, extra):
     assert _word_points(word, window) == nat_points_on(g, window)
 
 
-# the extension lists its middle point by point, so the tails stay short
-@given(nat_elements(max_offset=3000), st.integers(-FAR, 0), points)
+def _extension_points(g: NatIsometry, n: int, window) -> dict[int, int]:
+    """The extension of g at n as explicit pairs on the window: the identity
+    up to n, nothing from n + 1 to 0, and g from 1 on."""
+    window = set(window)
+    return {x: x for x in window if x <= n} | nat_points_on(g, (x for x in window if x >= 1))
+
+
+def _extension_edges(n: int) -> set[int]:
+    # the points next to which an extension's domain changes below 1
+    return {n, 0, -FAR * FAR}
+
+
+@given(nat_elements(), st.integers(-FAR, 0), points)
 def test_extend_in_matches_the_oracle(g, n, extra):
     ext = extend_in(g, n)
     assert ext.is_monotone()
-    defined = nat_domain(g)
-    for x in _around(_edges(g), extra, {n, 0, -FAR * FAR}):
-        want = x if x <= n else None if x < 1 else x + g.shift if defined(x) else None
-        assert ext.apply(x) == want
+    window = _around(_edges(g), extra, _extension_edges(n))
+    assert agree_on(ext, _extension_points(g, n, window), window)
+
+
+@given(nat_elements(), nat_elements(), st.integers(-FAR, 0), points)
+def test_extension_products_match_the_oracle(x, y, n, extra):
+    p = extend_in(x, n) * extend_in(y, n)
+    assert p == extend_in(x * y, n)
+    window = _around(_edges(x), _extension_edges(n), extra,
+                     {h - x.shift for h in _edges(y) | _extension_edges(n)})
+    first = _extension_points(x, n, window)
+    expected = compose_points(first, _extension_points(y, n, first.values()))
+    assert agree_on(p, expected, window)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from isomon import FiniteIntSet, IntIsometry, ZIsometry
 from isomon.harness import (SUITES, _bicyclic_check, _conjugation_check,
                             _cor212_check, _cor212_homs, _cor212_row,
+                            _extension_check, _extension_row, _extensions,
                             _filtered_check, _filtration_check, _inverse_check,
                             _lemma33_check, _roundtrip_check)
 from isomon.intmonoid import (FullUnitsError, HClassKind, hclass_group,
@@ -81,6 +82,14 @@ def test_cor212_checks_pass_on_far_pairs(x, y):
     assert row_counters == {"z2_reflections" if x.shift % 2 else "z2_identities": 1}
     homs = [_cor212_homs(g) for g in (x, y, x * y)]
     assert [*_cor212_check(*homs, Counter())] == [None, None]  # translation, z2
+
+
+@given(far_nat_elements(), far_nat_elements())
+def test_extension_checks_pass_on_far_pairs(x, y):
+    exts = [_extensions(g) for g in (x, y, x * y)]
+    row = [*_extension_row(0, x, exts[0], Counter()), *_extension_row(1, y, exts[1], Counter())]
+    assert row == [None] * 7  # the identity's extension, then monotone at each point
+    assert [*_extension_check(*exts, Counter())] == [None] * 3  # x * y at each point
 
 
 @given(st.integers(FAR - 6, FAR + 6), st.data())

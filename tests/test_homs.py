@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isomon import (FiniteIntSet, FiniteTailMap, IntIsometry, NatIsometry,
@@ -104,6 +104,19 @@ class TestFiniteTailMap:
         with pytest.raises(ValueError):
             FiniteTailMap(0, 10, 1, 0)  # ranges overlap
 
+    @pytest.mark.parametrize("args, bad", [
+        ((0.5, 0, 3, 0), "0.5"), ((True, 0, 3, 0), "True"), ((0, 0, 3, 2.0), "2.0"),
+        ((0, False, 3, 0), "False"), ((0, 0, "3", 0), "'3'")])
+    def test_non_int_thresholds_and_shifts_are_refused(self, args, bad):
+        with pytest.raises(ValueError, match=f"^thresholds and shifts must be ints, got {bad}$"):
+            FiniteTailMap(*args)
+
+    @pytest.mark.parametrize("pair, bad", [
+        ((1.5, 2), "1.5"), ((1, 2.0), "2.0"), ((True, 2), "True"), ((2, False), "False")])
+    def test_non_int_middle_pairs_are_refused(self, pair, bad):
+        with pytest.raises(ValueError, match=f"^middle pairs must be pairs of ints, got {bad}$"):
+            FiniteTailMap(0, 0, 3, 0, [pair])
+
     # most descriptions fail more than one rule; 300 draws reach a middle
     # whose only defect is a repeated output or a stray input in every run
     # tried, where the default 100 often did not
@@ -172,6 +185,8 @@ class TestFiniteTailMap:
         assert FiniteTailMap(f.neg_threshold, f.neg_shift, f.pos_threshold,
                              f.pos_shift, f.middle) == f
 
+    # f's shifted block has holes at 2 and 3, and g's middle holds their images
+    @example(FiniteTailMap(0, 0, 4, 1, [(1, 2)]), FiniteTailMap(0, 0, 6, 0, [(3, 5)]))
     @given(tail_maps(), tail_maps())
     def test_compose_applies_left_then_right(self, f, g):
         fg = f * g
@@ -193,8 +208,13 @@ class TestExtension:
             FiniteTailMap(-1, 0, 4, 2, [(2, 4)])
 
     def test_positive_extension_point_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^extension point must be <= 0, got 1$"):
             extend_in(gen_a(), 1)
+
+    @pytest.mark.parametrize("n", [-0.5, 0.0, False, True, "0", None])
+    def test_non_int_extension_point_rejected(self, n):
+        with pytest.raises(ValueError, match=f"^extension point must be an int, got {n!r}$"):
+            extend_in(NatIsometry(1, [3]), n)
 
     def test_homomorphism_exhaustive(self):
         ext = {(i, n): extend_in(g, n)
