@@ -33,7 +33,10 @@ map, so the library's compose is checked on the universe's pairs, not on
 the pair products the triple scan composes.  It logs each row's pair
 mismatches and then its failing triples, so any jobs give one order; a row
 lists its triples only if one of them fails, and a chunk builds no failure
-past the ones it keeps, only counts them.
+past the ones it keeps, only counts them.  Its memory is bounded before it
+starts: ``_SCAN_BUDGET`` caps each array it keeps, and ``_COMPOSE_SLAB`` the
+keys of each packed compose call, whose temporaries are several times its
+output.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ from .words import decompose, decompose_filtered, evaluate, format_word, parse
 
 _REPORT_FAIL_CAP = 50
 _SCAN_BUDGET = 1 << 20  # elements per packed-scan array, or n * n if larger
+_COMPOSE_SLAB = 1 << 16  # keys per packed compose call, or one row if longer
 
 
 @dataclass(frozen=True)
@@ -213,7 +217,9 @@ class _FailLog:
 # width + 2S), keys are int32 when top <= 32 (a bit shifted to the sign bit
 # makes the mask negative, which the check sees too), else int64 when
 # top <= 64, else Python ints in object arrays.  The default universes have
-# int32 keys.
+# int32 keys.  A compose holds a few temporaries the size of its output, so
+# the scan composes into arrays it keeps, ``_COMPOSE_SLAB`` keys per call
+# (``_compose_outer``), and ``_SCAN_BUDGET`` caps only the kept arrays.
 
 
 def _shift_bits(m, k):
@@ -272,6 +278,17 @@ class _Vec:
         a, r, m = self.fields(key)
         exc = FiniteIntSet(self.low + b for b in range(self.width) if m >> b & 1)
         return NatIsometry(a, exc) if self.nat else IntIsometry(ZIsometry(a, bool(r)), exc)
+
+
+def _compose_outer(vec: _Vec, col, row):
+    """``vec.compose(col[:, None], row[None, :])``, composed a slab of rows
+    per call into one array, so no call builds temporaries of more than
+    ``_COMPOSE_SLAB`` keys, or of one row if that is longer."""
+    out = np.empty((len(col), len(row)), dtype=vec.dtype)
+    step = max(1, _COMPOSE_SLAB // len(row))
+    for r0 in range(0, len(col), step):
+        out[r0:r0 + step] = vec.compose(col[r0:r0 + step, None], row[None, :])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +373,10 @@ def _assoc_chunk(spec, elems, lo, hi, log, counters):
     n = len(elems)
     vec = _Vec(spec)
     keys = vec.pack(elems)
-    cols = keys[None, :]
     # Keys are injective, so the distinct pair keys are the distinct pair
     # products q, and every triple product goes through one of them:
     # (x_i y_j) z_k = pz[idx[i, j], k] and x_i (y_j z_k) = xq[i, idx[j, k]].
-    prods, idx = np.unique(vec.compose(keys[:, None], cols), return_inverse=True)
+    prods, idx = np.unique(_compose_outer(vec, keys, keys), return_inverse=True)
     idx = idx.reshape(n, n)
     # the cross-check: each distinct packed product is decoded once and
     # looked up in the chunk's product map, -1 where none equals it (as for
@@ -369,17 +385,18 @@ def _assoc_chunk(spec, elems, lo, hi, log, counters):
     packed = np.array([products.get(vec.decode(q), -1) for q in prods.tolist()])
     mismatched = packed[idx[lo:hi]] != ids
     counters["pair_checks"] += (hi - lo) * n
-    # No array exceeds the budget: pz holds the distinct products of a block
-    # of rows against every z, so a block is every row when all distinct
-    # products fit, else as many rows as hold n products each.
+    # No kept array exceeds the budget: pz holds the distinct products of a
+    # block of rows against every z, so a block is every row when all
+    # distinct products fit, else as many rows as hold n products each.  The
+    # compose temporaries are capped apart, by the slab of _compose_outer.
     budget = max(_SCAN_BUDGET, n * n)
     block = hi - lo if len(prods) * n <= budget else budget // (n * n)
     for b0 in range(lo, hi, block):
         b1 = min(hi, b0 + block)
         used, local = np.unique(idx[b0:b1], return_inverse=True)
         local = local.reshape(b1 - b0, n)
-        pz = vec.compose(prods[used][:, None], cols)
-        xq = vec.compose(keys[b0:b1, None], prods[None, :])
+        pz = _compose_outer(vec, prods[used], keys)
+        xq = _compose_outer(vec, keys[b0:b1], prods)
         # row by row, pair mismatches first: the same order for any chunks
         for i in range(b0, b1):
             bad = np.flatnonzero(mismatched[i - lo])

@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .intsets import FiniteIntSet
+from .intsets import FiniteIntSet, _check_ints
 from .isoz import ZIsometry
 from .intmonoid import IntIsometry
 from .natmonoid import NatIsometry
@@ -140,11 +140,6 @@ class FiniteTailMap:
         ys = (self.neg_threshold + self.neg_shift, *(y for _, y in sorted(self._mid.items())),
               self._pt + self.pos_shift)
         return all(a < b for a, b in zip(ys, ys[1:]))
-
-
-def _check_ints(what: str, *values) -> None:
-    if bad := [v for v in values if not isinstance(v, int) or isinstance(v, bool)]:
-        raise ValueError(f"{what}, got {bad[0]!r}")
 
 
 def _canonical(nt, ns, pt, ps, mid: dict, holes: tuple, f=None) -> FiniteTailMap:

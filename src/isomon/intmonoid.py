@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .intsets import FiniteIntSet, symmetry_center
+from .intsets import FiniteIntSet, _check_ints, symmetry_center
 from .isoz import ZIsometry
 
 
@@ -50,6 +50,10 @@ class IntIsometry:
 
     def __init__(self, unit: ZIsometry = ZIsometry(0),
                  exceptions: Iterable[int] = FiniteIntSet()):
+        # checked here, not in ZIsometry, which ``.unit`` builds on each access
+        _check_ints("unit offset must be an int", unit.a)
+        if not isinstance(unit.reflect, bool):
+            raise ValueError(f"unit reflection must be a bool, got {unit.reflect!r}")
         if not isinstance(exceptions, FiniteIntSet):
             exceptions = FiniteIntSet(exceptions)
         _set(self, "key", (unit.a, unit.reflect, exceptions.items))

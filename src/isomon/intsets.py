@@ -26,12 +26,21 @@ class HalfInteger:
         return f"{self.doubled}/2"
 
 
+def _check_ints(what: str, *values) -> None:
+    """Refuse, with ``ValueError``, any of ``values`` that is not an int; a
+    bool is refused too, though it is one."""
+    if bad := [v for v in values if not isinstance(v, int) or isinstance(v, bool)]:
+        raise ValueError(f"{what}, got {bad[0]!r}")
+
+
 class FiniteIntSet:
     """Immutable finite set of integers with a canonical sorted representation."""
 
     __slots__ = ("_items",)
 
     def __init__(self, items: Iterable[int] = ()):
+        items = tuple(items)
+        _check_ints("set members must be ints", *items)  # before True merges with 1
         self._items: tuple[int, ...] = tuple(sorted(set(items)))
 
     @classmethod

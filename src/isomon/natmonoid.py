@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .intsets import FiniteIntSet
+from .intsets import FiniteIntSet, _check_ints
 
 
 class Markers(NamedTuple):
@@ -66,6 +66,7 @@ class NatIsometry:
     exceptions: FiniteIntSet
 
     def __init__(self, shift: int = 0, exceptions: Iterable[int] = FiniteIntSet()):
+        _check_ints("shift must be an int", shift)
         if not isinstance(exceptions, FiniteIntSet):
             exceptions = FiniteIntSet(exceptions)
         items = exceptions.items
@@ -170,6 +171,7 @@ def gen_b() -> NatIsometry:
 
 def gen_e(k: int) -> NatIsometry:
     """Identity map with a single hole at k >= 2 (word token ``e[k]``)."""
+    _check_ints("hole index must be an int", k)
     if k < 2:
         raise ValueError(f"hole index must be >= 2, got {k}")
     return _make(0, 0, (k,))

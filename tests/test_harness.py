@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import threading
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -214,13 +215,47 @@ def test_assoc_reports_exactly_the_non_associative_triples(monkeypatch, spec, fa
     monkeypatch.setattr(_Vec, "compose", fault(_Vec.compose))
     expected = _packed_assoc_failures(spec, _Vec(spec))
     assert any("left" in f for f in expected)
-    # a budget of n * n scans one row per block; at 2 jobs the second chunk
-    # starts past row 0, and the report must not change
-    for budget, jobs in product((harness._SCAN_BUDGET, 0), (1, 2)):
+    # a slab of one key composes one row per call, and one of 7 n keys seven
+    # rows of n, which leaves a shorter last slab; a budget of n * n scans
+    # one row per block; at 2 jobs the second chunk starts past row 0, and
+    # the report must not change
+    n = len(_universe(spec))
+    assert n % 7
+    for slab, budget, jobs in product((1, 7 * n, harness._COMPOSE_SLAB),
+                                      (harness._SCAN_BUDGET, 0), (1, 2)):
+        monkeypatch.setattr(harness, "_COMPOSE_SLAB", slab)
         monkeypatch.setattr(harness, "_SCAN_BUDGET", budget)
         report = run_suite("assoc", spec, jobs=jobs)
         assert report.failure_count == len(expected)
         assert report.failures == expected[:_REPORT_FAIL_CAP]
+
+
+def test_assoc_scan_memory_is_the_arrays_it_keeps_plus_one_slab():
+    # The bound: the arrays the int scan keeps at once, pz and xq (P * n
+    # keys each, for the P distinct pair products), idx and local (n * n
+    # int64 each), a row's left and right (n * n keys each), and mismatched
+    # and differ (n * n bools each); plus what one compose call holds, fewer
+    # than eight arrays of a slab's keys.  At the default universe that is
+    # 9.4 + 2.1 MB; a call that composed all P * n keys of pz or xq at once
+    # would hold about five arrays of that size, and the scan peak at 22 MB.
+    spec = INT_DEFAULT
+    n = len(_universe(spec))
+    pairs = len(_product_rows(spec, 0, n)[1])  # the table is built untraced
+    key = np.dtype(_Vec(spec).dtype).itemsize
+    kept = 2 * pairs * n * key + n * n * (2 * 8 + 2 * key + 2)
+    bound = kept + 8 * key * harness._COMPOSE_SLAB
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert run_suite("assoc", spec).passed
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < bound, (peak, bound)
 
 
 def _count_element_to_obj(patch) -> list:

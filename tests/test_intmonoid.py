@@ -24,6 +24,23 @@ def test_compose_examples():
     assert g * g.inverse() == identity_on(g.exceptions)
 
 
+@pytest.mark.parametrize("unit, message", [
+    (ZIsometry(0.5), "unit offset must be an int, got 0.5"),
+    (ZIsometry(True), "unit offset must be an int, got True"),
+    (ZIsometry(2.0, True), "unit offset must be an int, got 2.0"),
+    (ZIsometry(0, 1), "unit reflection must be a bool, got 1"),
+    (ZIsometry(0, None), "unit reflection must be a bool, got None")])
+def test_non_int_units_are_refused(unit, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        IntIsometry(unit, [1])
+
+
+@pytest.mark.parametrize("holes, bad", [([1.5], "1.5"), ([False], "False"), ([0, 1.0], "1.0")])
+def test_non_int_exceptions_are_refused(holes, bad):
+    with pytest.raises(ValueError, match=f"^set members must be ints, got {bad}$"):
+        IntIsometry(ZIsometry(0), holes)
+
+
 def test_inverse_examples():
     assert IntIsometry(ZIsometry(2), FiniteIntSet([0])).inverse() == \
         IntIsometry(ZIsometry(-2), FiniteIntSet([2]))

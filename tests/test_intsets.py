@@ -11,6 +11,15 @@ def test_canonical_representation():
     assert hash(FiniteIntSet([1, 3])) == hash(FiniteIntSet([3, 1]))
 
 
+@pytest.mark.parametrize("items, bad", [
+    ([1.5], "1.5"), ([True], "True"), ([1, True], "True"), ([2, 2.0], "2.0"),
+    (["3", 1], "'3'")])
+def test_non_int_members_are_refused(items, bad):
+    # [1, True] is refused, not merged into {1}
+    with pytest.raises(ValueError, match=f"^set members must be ints, got {bad}$"):
+        FiniteIntSet(items)
+
+
 def test_set_algebra_examples():
     assert FiniteIntSet([0, 3]).reflect(HalfInteger(3)) == FiniteIntSet([0, 3])
     assert 2 in FiniteIntSet([1, 2]) and 5 not in FiniteIntSet([1, 2])

@@ -26,6 +26,26 @@ def test_validity():
     NatIsometry(-1, FiniteIntSet([1]))  # fine: domain starts at 2
 
 
+@pytest.mark.parametrize("shift, bad", [(1.5, "1.5"), (True, "True"), (2.0, "2.0"),
+                                        ("1", "'1'")])
+def test_non_int_shifts_are_refused(shift, bad):
+    with pytest.raises(ValueError, match=f"^shift must be an int, got {bad}$"):
+        NatIsometry(shift, [2])
+
+
+@pytest.mark.parametrize("holes, bad", [([1.5], "1.5"), ([True], "True"), ([2, 3.0], "3.0")])
+def test_non_int_exceptions_are_refused(holes, bad):
+    # [1.5] once gave nd_high 2.5, and [True] became the prefix 1
+    with pytest.raises(ValueError, match=f"^set members must be ints, got {bad}$"):
+        NatIsometry(0, holes)
+
+
+@pytest.mark.parametrize("k, bad", [(2.5, "2.5"), (3.0, "3.0"), (True, "True")])
+def test_gen_e_refuses_a_non_int_index(k, bad):
+    with pytest.raises(ValueError, match=f"^hole index must be an int, got {bad}$"):
+        gen_e(k)
+
+
 def test_generators():
     assert gen_a() == NatIsometry(1)
     assert gen_b() == NatIsometry(-1, FiniteIntSet([1]))
